@@ -45,12 +45,15 @@ def lambda_blocks(lambdas: np.ndarray) -> np.ndarray:
 def antisymmetrize(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Validate and return the antisymmetric part of a square matrix.
 
-    The deviation ``max|mat + mat^T|`` must not exceed ``tol``; larger
-    violations indicate the caller did not pass an antisymmetric matrix.
+    Entries must be finite, and the deviation ``max|mat + mat^T|`` must not
+    exceed ``tol``; larger violations indicate the caller did not pass an
+    antisymmetric matrix.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise InvalidInputError("matrix has non-finite entries")
     deviation = np.max(np.abs(mat + mat.T)) if mat.size else 0.0
     if deviation > tol:
         raise InvalidInputError(

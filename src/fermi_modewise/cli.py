@@ -27,8 +27,8 @@ from .errors import (
     NumericalConsistencyError,
     ResourceLimitError,
 )
-from .gaussian import Bipartition, is_pure
-from .models import ModelSpec, generate_model
+from .gaussian import Bipartition, CovarianceMatrix, is_pure
+from .models import MODEL_KINDS, ModelSpec, generate_model
 from .verify import run_all
 
 RECONSTRUCTION_TOL = 1e-8
@@ -65,7 +65,10 @@ def _read_fcm(path: str):
 def _model_spec_from_args(args) -> ModelSpec:
     if args.spec is not None:
         with open(args.spec) as stream:
-            data = json.load(stream)
+            try:
+                data = json.load(stream)
+            except json.JSONDecodeError as exc:
+                raise InvalidInputError(f"malformed model spec JSON: {exc}") from exc
         if "kind" not in data or "parameters" not in data:
             raise InvalidInputError('model spec JSON needs keys "kind" and "parameters"')
         return ModelSpec(data["kind"], dict(data["parameters"]))
@@ -89,7 +92,7 @@ def _model_spec_from_args(args) -> ModelSpec:
 
 def _add_model_flags(parser):
     parser.add_argument("--spec", help="model spec JSON file (overrides flags)")
-    parser.add_argument("--kind", choices=("bcs", "kitaev", "random-pure", "random-isotropic", "diagonal"))
+    parser.add_argument("--kind", choices=MODEL_KINDS)
     parser.add_argument("--thetas", help="comma-separated pair angles (bcs)")
     parser.add_argument("--lambdas", help="comma-separated per-mode eigenvalues (diagonal)")
     parser.add_argument("--n", type=int, help="mode count")
@@ -228,13 +231,12 @@ def _sweep_values(args) -> list[float]:
     return np.linspace(args.start, args.stop, args.num).tolist()
 
 
-def _sweep_row(spec: ModelSpec, cut: int, value: float) -> dict:
-    model = generate_model(spec)
-    n = model.fcm.n_modes
+def _sweep_row(state: CovarianceMatrix, cut: int, value: float) -> dict:
+    n = state.n_modes
     if not 1 <= cut <= n - 1:
         raise InvalidInputError(f"cut must lie in 1..{n - 1}, got {cut}")
     partition = Bipartition(tuple(range(cut)), tuple(range(cut, n)))
-    decomp = modewise_decompose(model.fcm, partition)
+    decomp = modewise_decompose(state, partition)
     thetas = [p.theta for p in decomp.pairs]
     entropy = None
     if abs(decomp.lambda0 - 1.0) <= 1e-9:
@@ -246,9 +248,9 @@ def _cmd_sweep(args) -> int:
     base = _model_spec_from_args(args)
     rows = []
     if args.scan_cut:
-        n = generate_model(base).fcm.n_modes
-        for cut in range(1, n):
-            rows.append(_sweep_row(base, cut, float(cut)))
+        state = generate_model(base).fcm
+        for cut in range(1, state.n_modes):
+            rows.append(_sweep_row(state, cut, float(cut)))
     else:
         if args.param is None:
             raise InvalidInputError("sweep needs --param NAME or --scan-cut")
@@ -257,7 +259,8 @@ def _cmd_sweep(args) -> int:
         for value in _sweep_values(args):
             params = dict(base.parameters)
             params[args.param] = value
-            rows.append(_sweep_row(ModelSpec(base.kind, params), args.cut, value))
+            state = generate_model(ModelSpec(base.kind, params)).fcm
+            rows.append(_sweep_row(state, args.cut, value))
     _write(args.out, lambda s: serialize.write_sweep_csv(rows, s))
     return 0
 
@@ -278,7 +281,7 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (InvalidInputError, ResourceLimitError, FileNotFoundError) as exc:
+    except (InvalidInputError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotIsotropicError, NumericalConsistencyError) as exc:

@@ -117,10 +117,7 @@ def pure_mode_entanglement(decomp: ModewiseDecomposition) -> EntanglementReport:
         raise InvalidInputError(
             f"entanglement of modes needs a pure decomposition, lambda0 = {decomp.lambda0!r}"
         )
-    report = _pair_report(decomp)
-    report.pair_entropies = [binary_entropy(np.cos(p.theta) ** 2) for p in decomp.pairs]
-    report.total_modes_entropy = float(sum(report.pair_entropies))
-    return report
+    return isotropic_separability(decomp)
 
 
 def isotropic_separability(decomp: ModewiseDecomposition) -> EntanglementReport:

@@ -1,13 +1,16 @@
 """Exact dense Fock-space reference for small mode counts.
 
-Operators are built through the Jordan-Wigner mapping in mode order: the basis
-index encodes occupations with mode 0 as the most significant bit, and
+Operators follow the Jordan-Wigner mapping in mode order: the basis index
+encodes occupations with mode 0 as the most significant bit, and
 
     g_{2i}   = Z^(i) (x) X (x) 1...          (= b_i + b_i^dag)
     g_{2i+1} = Z^(i) (x) [[0, i], [-i, 0]] (x) 1...   (= i(b_i - b_i^dag))
 
-so that |0...0> is the vacuum.  Everything here is O(4^N) dense linear algebra
-and is capped at FERMI_MODEWISE_MAX_MODES (default 12) modes.
+so that |0...0> is the vacuum.  Each Majorana is a signed permutation of the
+basis, and every operator here acts through that one representation.  The
+dense Hamiltonian costs O(N^2 2^N) to build and O(4^N) memory, its
+eigensolve O(8^N) time; everything is capped at FERMI_MODEWISE_MAX_MODES
+(default 12) modes.
 """
 
 from __future__ import annotations
@@ -30,11 +33,6 @@ from .gaussian import (
 
 DEFAULT_MODE_CAP = 12
 MODE_CAP_ENV = "FERMI_MODEWISE_MAX_MODES"
-
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_QUAD_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]])  # i(b - b^dag) on one mode
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_ID2 = np.eye(2, dtype=complex)
 
 
 def mode_cap() -> int:
@@ -92,25 +90,6 @@ class FockState:
         return cls(n, amps)
 
 
-def _kron_chain(factors) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
-@lru_cache(maxsize=3)
-def _majorana_stack(n_modes: int) -> np.ndarray:
-    ops = np.empty((2 * n_modes, 2**n_modes, 2**n_modes), dtype=complex)
-    for i in range(n_modes):
-        left = [_PAULI_Z] * i
-        right = [_ID2] * (n_modes - 1 - i)
-        ops[2 * i] = _kron_chain(left + [_PAULI_X] + right)
-        ops[2 * i + 1] = _kron_chain(left + [_QUAD_Y] + right)
-    ops.setflags(write=False)
-    return ops
-
-
 @lru_cache(maxsize=4)
 def _majorana_action(n_modes: int):
     """Sparse action of every Majorana: g_a u = phase[a] * u[perm[a]].
@@ -141,30 +120,38 @@ def _majorana_action(n_modes: int):
 def build_majoranas(n_modes: int, cap=None) -> np.ndarray:
     """Stack of the 2N dense Majorana matrices, indexed as in the FCM."""
     _check_cap(n_modes, cap)
-    return _majorana_stack(n_modes)
-
-
-def annihilation_operators(n_modes: int, cap=None) -> np.ndarray:
-    """Stack of the N dense annihilation operators b_i = (g_{2i} - i g_{2i+1}) / 2."""
-    g = build_majoranas(n_modes, cap)
-    return 0.5 * (g[0::2] - 1.0j * g[1::2])
+    perm, phase = _majorana_action(n_modes)
+    dim = 2**n_modes
+    g = np.zeros((2 * n_modes, dim, dim), dtype=complex)
+    g[np.arange(2 * n_modes)[:, None], np.arange(dim), perm] = phase
+    return g
 
 
 def dense_hamiltonian(ham: QuadraticHamiltonian, cap=None) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of a quadratic Hamiltonian."""
+    """Dense 2^N x 2^N matrix of a quadratic Hamiltonian.
+
+    With b_i u = low[i] * u[flip[i]], each term b_i^dag b_j or b_i^dag b_j^dag
+    sends basis row k to the single column flip[j][flip[i][k]], so each part
+    of H is one scatter of N^2 2^N entries.
+    """
     n = ham.n_modes
     _check_cap(n, cap)
-    b = annihilation_operators(n)
-    bd = np.conj(np.swapaxes(b, 1, 2))
-    # Combine coefficient rows first so only 2N dense products remain.
-    hop_mixed = np.tensordot(ham.hopping, b, axes=(1, 0))
-    pair_mixed = np.tensordot(ham.pairing, bd, axes=(1, 0))
+    perm, phase = _majorana_action(n)
+    flip = perm[0::2]
+    low = 0.5 * (phase[0::2] - 1.0j * phase[1::2])
     dim = 2**n
-    hopping_part = np.zeros((dim, dim), dtype=complex)
-    pairing_part = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        hopping_part += bd[i] @ hop_mixed[i]
-        pairing_part += bd[i] @ pair_mixed[i]
+    modes = np.arange(n)[:, None]
+    up = low.conj()[modes, flip]  # b_i^dag u = up[i] * u[flip[i]]
+    rows = flip[:, None, :]  # row flip[i][k] that b_j or b_j^dag acts on; axes [i, j, k]
+    flat = (np.arange(dim) * dim + flip[modes, rows]).reshape(-1)
+
+    def scatter(weights):
+        part = np.zeros(dim * dim, dtype=complex)
+        np.add.at(part, flat, weights.reshape(-1))
+        return part.reshape(dim, dim)
+
+    hopping_part = scatter(ham.hopping[:, :, None] * up[:, None, :] * low[modes, rows])
+    pairing_part = scatter(ham.pairing[:, :, None] * up[:, None, :] * up[modes, rows])
     h = hopping_part + pairing_part + pairing_part.conj().T
     residual = np.max(np.abs(h - h.conj().T))
     if residual > 1e-12 * max(1.0, float(np.max(np.abs(h)))):

@@ -77,6 +77,8 @@ class QuadraticHamiltonian:
         for name, mat in (("hopping", self.hopping), ("pairing", self.pairing)):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise InvalidInputError(f"{name} matrix must be square, got {mat.shape}")
+            if not np.all(np.isfinite(mat)):
+                raise InvalidInputError(f"{name} matrix has non-finite entries")
         if self.hopping.shape != self.pairing.shape:
             raise InvalidInputError(
                 f"hopping {self.hopping.shape} and pairing {self.pairing.shape} differ"
@@ -192,14 +194,19 @@ def is_pure(state: CovarianceMatrix, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(m @ m + np.eye(m.shape[0]))) <= tol)
 
 
-def isotropy_parameter(state: CovarianceMatrix, tol: float = 1e-8):
-    """Return l0 >= 0 with M^2 = -l0^2 within ``tol``, or None if not isotropic."""
+def _isotropy_fit(state: CovarianceMatrix) -> tuple[float, float]:
+    """Best-fit l0^2 = -tr(M^2) / 2N and the deviation max|M^2 + l0^2|."""
     m = state.matrix
     if m.size == 0:
-        return 0.0
+        return 0.0, 0.0
     msq = m @ m
     lam0_sq = -float(np.trace(msq)) / m.shape[0]
-    deviation = float(np.max(np.abs(msq + lam0_sq * np.eye(m.shape[0]))))
+    return lam0_sq, float(np.max(np.abs(msq + lam0_sq * np.eye(m.shape[0]))))
+
+
+def isotropy_parameter(state: CovarianceMatrix, tol: float = 1e-8):
+    """Return l0 >= 0 with M^2 = -l0^2 within ``tol``, or None if not isotropic."""
+    lam0_sq, deviation = _isotropy_fit(state)
     if deviation > tol:
         return None
     return abs(float(np.sqrt(max(lam0_sq, 0.0))))
@@ -207,12 +214,7 @@ def isotropy_parameter(state: CovarianceMatrix, tol: float = 1e-8):
 
 def isotropy_deviation(state: CovarianceMatrix) -> float:
     """Measured max|M^2 + l0^2| for the best-fit l0 (diagnostic companion)."""
-    m = state.matrix
-    if m.size == 0:
-        return 0.0
-    msq = m @ m
-    lam0_sq = -float(np.trace(msq)) / m.shape[0]
-    return float(np.max(np.abs(msq + lam0_sq * np.eye(m.shape[0]))))
+    return _isotropy_fit(state)[1]
 
 
 def restrict(state: CovarianceMatrix, modes) -> CovarianceMatrix:

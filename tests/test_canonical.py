@@ -103,6 +103,8 @@ def test_antisymmetrize_tolerance():
     assert np.allclose(out, -out.T)
     with pytest.raises(InvalidInputError):
         antisymmetrize(np.array([[0.0, 1.0], [-1.0 + 1e-3, 0.0]]))
+    with pytest.raises(InvalidInputError):
+        antisymmetrize(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_is_orthogonal():

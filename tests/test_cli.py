@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from fermi_modewise import diagonal_fcm, isotropic_fcm
+from fermi_modewise import cli, diagonal_fcm, isotropic_fcm
 from fermi_modewise.cli import cli_main
+from fermi_modewise.models import generate_model
 from fermi_modewise.serialize import (
     fcm_from_dict,
     fcm_to_dict,
@@ -124,6 +125,44 @@ def test_cli_exit_codes(capsys, tmp_path):
     # bcs angle out of range
     code, _, _ = run(capsys, "generate", "--kind", "bcs", "--thetas", "2.0")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--input", "nan.json", "--partition", "1;2"],
+        ["generate", "--kind", "kitaev", "--n", "4", "--mu", "nan", "--t", "1", "--delta", "1"],
+        ["generate", "--kind", "bcs", "--thetas", "0.3", "--out", "."],
+        ["generate", "--spec", "bad_spec.json"],
+    ],
+    ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec"],
+)
+def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, argv):
+    data = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
+    data["matrix"][0][1] = float("nan")
+    (tmp_path / "nan.json").write_text(json.dumps(data))
+    (tmp_path / "bad_spec.json").write_text('{"kind": ')
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_cli_sweep_cut_scan_builds_the_model_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_generate_model(spec):
+        calls.append(spec)
+        return generate_model(spec)
+
+    monkeypatch.setattr(cli, "generate_model", counting_generate_model)
+    code, out, _ = run(
+        capsys, "sweep", "--kind", "random-pure", "--n", "6", "--seed", "3", "--scan-cut"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert len(out.strip().splitlines()) == 1 + 5  # header, cuts 1..5
 
 
 def test_cli_sweep_cut_scan(capsys):

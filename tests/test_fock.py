@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from fermi_modewise import (
     dense_ground_state,
     dense_hamiltonian,
     fcm_from_state,
+    ground_state_fcm,
     is_pure,
     j_blocks,
     modewise_decompose,
@@ -20,11 +24,21 @@ from fermi_modewise import (
     schmidt_entropy,
 )
 from fermi_modewise.fock import MODE_CAP_ENV, mode_cap
-from fermi_modewise.verify import random_gaussian_state
+from fermi_modewise.models import kitaev_hamiltonian
+from fermi_modewise.verify import random_gaussian_state, random_quadratic_hamiltonian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 QUAD_Y = np.array([[0, 1j], [-1j, 0]])  # i(b - b^dag) on a single mode
+
+
+def jordan_wigner_majoranas(n):
+    """Kron-product Majorana matrices Z^(i) (x) {X, QUAD_Y} (x) 1..., as in the FCM order."""
+    ops = []
+    for i in range(n):
+        for local in (X, QUAD_Y):
+            ops.append(reduce(np.kron, [Z] * i + [local] + [np.eye(2)] * (n - 1 - i)))
+    return np.array(ops)
 
 
 def squeezed_pair(theta):
@@ -47,7 +61,8 @@ def test_sparse_action_matches_dense_matrices():
     from fermi_modewise.fock import _majorana_action
 
     for n in (1, 2, 3):
-        g = build_majoranas(n)
+        g = jordan_wigner_majoranas(n)
+        assert np.array_equal(build_majoranas(n), g)
         perm, phase = _majorana_action(n)
         rng = np.random.default_rng(n)
         vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
@@ -93,6 +108,23 @@ def test_dense_hamiltonian_pairing_couples_00_and_11():
     coupled[0, 3] = coupled[3, 0] = True
     assert np.all(np.abs(dense[~coupled]) < 1e-14)
     assert abs(dense[0, 3]) > 0.1
+
+
+def test_dense_hamiltonian_peak_memory_at_nine_modes():
+    ham = random_quadratic_hamiltonian(9, np.random.default_rng(9))
+    tracemalloc.start()
+    try:
+        dense_hamiltonian(ham)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_dense_ground_energy_matches_covariance_route_on_kitaev_chain():
+    ham = kitaev_hamiltonian(9, 0.5, 1.0, 1.0)
+    _, energy, _ = dense_ground_state(ham)
+    assert abs(energy - ground_state_fcm(ham).energy) <= 1e-8
 
 
 def test_dense_ground_state_trivial_cases():

@@ -54,6 +54,8 @@ def test_hamiltonian_validation():
         QuadraticHamiltonian([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
     with pytest.raises(InvalidInputError):
         QuadraticHamiltonian(np.zeros((2, 2)), [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(InvalidInputError):
+        QuadraticHamiltonian([[np.inf]], [[0.0]])
 
 
 def test_ground_state_vacuum_and_filled():
