@@ -21,19 +21,10 @@ from .errors import InvalidInputError
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-# Pairs the two quadratures of one mode; used to factor cross-correlation
-# blocks in the modewise decomposition.
-BETA2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-
 
 def j_blocks(n_blocks: int) -> np.ndarray:
     """Direct sum of ``n_blocks`` copies of J2."""
     return np.kron(np.eye(n_blocks), J2)
-
-
-def beta_blocks(n_blocks: int) -> np.ndarray:
-    """Direct sum of ``n_blocks`` copies of [[0, 1], [1, 0]]."""
-    return np.kron(np.eye(n_blocks), BETA2)
 
 
 def lambda_blocks(lambdas: np.ndarray) -> np.ndarray:

@@ -69,8 +69,11 @@ def _model_spec_from_args(args) -> ModelSpec:
                 data = json.load(stream)
             except json.JSONDecodeError as exc:
                 raise InvalidInputError(f"malformed model spec JSON: {exc}") from exc
-        if "kind" not in data or "parameters" not in data:
-            raise InvalidInputError('model spec JSON needs keys "kind" and "parameters"')
+        if not (isinstance(data, dict) and isinstance(data.get("parameters"), dict)
+                and "kind" in data):
+            raise InvalidInputError(
+                'model spec JSON needs an object with keys "kind" and "parameters" (an object)'
+            )
         return ModelSpec(data["kind"], dict(data["parameters"]))
     if args.kind is None:
         raise InvalidInputError("either --kind or --spec is required")

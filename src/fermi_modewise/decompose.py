@@ -9,11 +9,15 @@ the state to a direct sum of entangled two-mode blocks
      [0, -k, 0, -l],
      [-k, 0, l,  0]]
 
-plus decoupled single modes with eigenvalue l0 on either side.  The algorithm
-follows the constructive route: Williamson-transform each side, group local
-modes into degeneracy classes, factor each class's cross-correlation block
-into an orthogonal symplectic transform, and absorb it into the A-side
-transform.
+plus decoupled single modes on either side (Botero & Reznik,
+quant-ph/0404176).  The route is two Williamson forms and one complex SVD:
+Williamson-transform each side, read every 2x2 block [[p, q], [q, -p]] of the
+rotated cross block as the complex number p + iq, and rotate both sides by
+the unitary factors of its SVD.  The singular values are the couplings k.
+Unitary rotations commute with J2, so they keep the local Williamson forms
+even where they mix nearly degenerate modes, as on area-law chain cuts with
+exponentially small couplings.  The one consistency check is that isotropy
+leaves no part of a cross block commuting with J2.
 """
 
 from __future__ import annotations
@@ -23,12 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import (
-    beta_blocks,
-    is_orthogonal_symplectic,
-    lambda_blocks,
-    williamson_form,
-)
+from .canonical import lambda_blocks, williamson_form
 from .errors import InvalidInputError, NotIsotropicError, NumericalConsistencyError
 from .gaussian import (
     Bipartition,
@@ -36,7 +35,6 @@ from .gaussian import (
     isotropy_deviation,
     isotropy_parameter,
     quadrature_indices,
-    restrict,
 )
 
 
@@ -44,18 +42,17 @@ from .gaussian import (
 class DecompositionTolerances:
     """Numerical thresholds of the decomposition.
 
-    iso         isotropy check on M^2
-    deg         degeneracy clustering width, relative to lambda0
-    cross       allowed residual cross-correlation between decoupled classes
-    pair        smallest kappa treated as a genuine pair
-    symplectic  orthogonal-symplectic check on extracted class transforms
+    iso    isotropy check on M^2
+    deg    width, relative to lambda0, below which a local eigenvalue counts
+           as zero (such modes carry no orientation of their own)
+    cross  largest part of a rotated 2x2 cross block that may commute with J2
+    pair   smallest kappa treated as a genuine pair
     """
 
     iso: float = 1e-8
     deg: float = 1e-8
     cross: float = 1e-7
     pair: float = 1e-8
-    symplectic: float = 1e-7
 
 
 class EntangledPair(NamedTuple):
@@ -102,36 +99,14 @@ class ModewiseDecomposition:
         return len(self.pairs)
 
 
-class _EigenClass(NamedTuple):
-    value: float
-    a_local: list[int]
-    b_local: list[int]
-
-
-def _cluster_classes(lams_a, lams_b, width: float) -> list[_EigenClass]:
-    """Group local eigenvalues of both sides into shared degeneracy classes.
-
-    Values within ``width`` of a class anchor (its first, largest member)
-    belong to that class.  Both spectra are descending, so one merged sweep
-    suffices.
-    """
-    entries = [(lam, 0, i) for i, lam in enumerate(lams_a)]
-    entries += [(lam, 1, i) for i, lam in enumerate(lams_b)]
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    classes: list[_EigenClass] = []
-    anchor = None
-    for lam, side, local in entries:
-        if anchor is None or anchor - lam > width:
-            classes.append(_EigenClass(lam, [], []))
-            anchor = lam
-        cls = classes[-1]
-        (cls.a_local if side == 0 else cls.b_local).append(local)
-    # Recompute each class value as the mean of its members.
-    return [
-        _EigenClass(float(np.mean([lams_a[i] for i in c.a_local] + [lams_b[i] for i in c.b_local])),
-                    c.a_local, c.b_local)
-        for c in classes
-    ]
+def _complex_to_real(x: np.ndarray) -> np.ndarray:
+    """Real 2n x 2n matrix of the complex n x n matrix acting on z_k = g_{2k} + i g_{2k+1}."""
+    out = np.empty((2 * x.shape[0], 2 * x.shape[1]))
+    out[0::2, 0::2] = x.real
+    out[0::2, 1::2] = -x.imag
+    out[1::2, 0::2] = x.imag
+    out[1::2, 1::2] = x.real
+    return out
 
 
 def modewise_decompose(
@@ -141,11 +116,18 @@ def modewise_decompose(
 ) -> ModewiseDecomposition:
     """Decompose an isotropic covariance matrix across a bipartition.
 
+    Both local blocks are brought to Williamson form.  Isotropy
+    (M_A K + K M_B = 0) then makes every 2x2 block of the rotated cross block
+    K' anticommute with J2, once the orientation of the modes with local
+    eigenvalue zero has been fixed by a real SVD of their cross block.  Such a
+    block [[p, q], [q, -p]] is the complex number p + iq, and one complex SVD
+    of these numbers, applied as unitary (hence J2-commuting) local rotations,
+    leaves K' = diag(kappa_k beta).
+
     Raises NotIsotropicError when M^2 is not proportional to the identity, and
-    NumericalConsistencyError when the block structure demanded by isotropy
-    (vanishing cross-class correlations, equal degeneracies, orthogonal
-    symplectic class transforms) fails to emerge, which signals inconsistent
-    input rather than a representation choice.
+    NumericalConsistencyError when a block of K' keeps a part commuting with
+    J2 beyond ``tol.cross``, which signals inconsistent input rather than a
+    representation choice.
     """
     if partition.n_modes != state.n_modes:
         raise InvalidInputError(
@@ -156,83 +138,54 @@ def modewise_decompose(
         raise NotIsotropicError(isotropy_deviation(state), tol.iso)
 
     n_a, n_b = len(partition.a_modes), len(partition.b_modes)
-    form_a = williamson_form(restrict(state, partition.a_modes).matrix)
-    form_b = williamson_form(restrict(state, partition.b_modes).matrix)
-    transform_a = form_a.orthogonal.copy()
-    transform_b = form_b.orthogonal
+    rows_a = quadrature_indices(partition.a_modes)
+    rows_b = quadrature_indices(partition.b_modes)
+    cross = state.matrix[np.ix_(rows_a, rows_b)]
+    form_a = williamson_form(state.matrix[np.ix_(rows_a, rows_a)])
+    form_b = williamson_form(state.matrix[np.ix_(rows_b, rows_b)])
+    rot_a, rot_b = form_a.orthogonal, form_b.orthogonal
+    rotated = rot_a @ cross @ rot_b.T
 
-    perm = quadrature_indices(tuple(partition.a_modes) + tuple(partition.b_modes))
-    permuted = state.matrix[np.ix_(perm, perm)]
-    cross = transform_a @ permuted[: 2 * n_a, 2 * n_a :] @ transform_b.T
+    # Modes with lambda ~ 0 (the trailing rows) carry no orientation: pair
+    # them by a real SVD, swapping the quadratures of each B mode so that
+    # every pair reads s * beta.
+    zero_a = 2 * int(np.sum(form_a.lambdas > tol.deg * lambda0))
+    zero_b = 2 * int(np.sum(form_b.lambdas > tol.deg * lambda0))
+    if zero_a < 2 * n_a and zero_b < 2 * n_b:
+        u, _, vt = np.linalg.svd(rotated[zero_a:, zero_b:])
+        rot_a[zero_a:] = u.T @ rot_a[zero_a:]
+        rot_b[zero_b:] = vt[np.arange(len(vt)) ^ 1] @ rot_b[zero_b:]
+        rotated = rot_a @ cross @ rot_b.T
 
-    width = tol.deg * lambda0 if lambda0 > 0 else tol.deg
-    classes = _cluster_classes(form_a.lambdas, form_b.lambdas, width)
+    a, b = rotated[0::2, 0::2], rotated[0::2, 1::2]
+    c, d = rotated[1::2, 0::2], rotated[1::2, 1::2]
+    worst = float(np.max(0.5 * np.hypot(a + d, b - c), initial=0.0))
+    if worst > tol.cross:
+        raise NumericalConsistencyError(
+            f"cross-correlations keep a part commuting with J2 of {worst:.3e} > "
+            f"{tol.cross:.3e}; the input is not isotropic to working precision"
+        )
 
-    # Cross-correlations between different classes must vanish.
-    for i, ci in enumerate(classes):
-        rows = quadrature_indices(ci.a_local)
-        for j, cj in enumerate(classes):
-            if i == j or not (len(ci.a_local) and len(cj.b_local)):
-                continue
-            block = cross[np.ix_(rows, quadrature_indices(cj.b_local))]
-            worst = float(np.max(np.abs(block)))
-            if worst > tol.cross:
-                raise NumericalConsistencyError(
-                    f"modes with distinct eigenvalues ({ci.value!r}, {cj.value!r}) remain "
-                    f"correlated: max|K| = {worst:.3e} > {tol.cross:.3e}"
-                )
+    # Blocks [[p, q], [q, -p]] as p + iq; rotating A by i P^H and B by Q^T
+    # turns C = P diag(kappa) Q^H into i diag(kappa), i.e. kappa * beta blocks.
+    p_mat, kappas, qh_mat = np.linalg.svd(0.5 * (a - d) + 0.5j * (b + c))
+    unitary_a, unitary_b = 1j * p_mat.conj().T, qh_mat.conj()
+    lams_a = np.abs(unitary_a) ** 2 @ form_a.lambdas
+    lams_b = np.abs(unitary_b) ** 2 @ form_b.lambdas
+    n_pairs = int(np.sum(kappas > tol.pair))
 
-    pairs: list[EntangledPair] = []
-    residual_a: list[ResidualMode] = []
-    residual_b: list[ResidualMode] = []
-    for cls in classes:
-        kappa_sq = lambda0**2 - cls.value**2
-        kappa = float(np.sqrt(kappa_sq)) if kappa_sq > 0.0 else 0.0
-        decoupled = cls.value >= lambda0 - width or kappa <= tol.pair
-        if decoupled:
-            if cls.a_local and cls.b_local:
-                block = cross[np.ix_(quadrature_indices(cls.a_local),
-                                     quadrature_indices(cls.b_local))]
-                worst = float(np.max(np.abs(block)))
-                if worst > tol.cross:
-                    raise NumericalConsistencyError(
-                        f"decoupled class at eigenvalue {cls.value!r} retains "
-                        f"correlations: max|K| = {worst:.3e} > {tol.cross:.3e}"
-                    )
-            residual_a += [ResidualMode(i, float(form_a.lambdas[i])) for i in cls.a_local]
-            residual_b += [ResidualMode(i, float(form_b.lambdas[i])) for i in cls.b_local]
-            continue
-
-        if len(cls.a_local) != len(cls.b_local):
-            raise NumericalConsistencyError(
-                f"entangled class at eigenvalue {cls.value!r} has unequal degeneracies "
-                f"({len(cls.a_local)} on A, {len(cls.b_local)} on B)"
-            )
-        g = len(cls.a_local)
-        rows = quadrature_indices(cls.a_local)
-        cols = quadrature_indices(cls.b_local)
-        class_transform = cross[np.ix_(rows, cols)] @ beta_blocks(g) / kappa
-        if not is_orthogonal_symplectic(class_transform, tol.symplectic):
-            raise NumericalConsistencyError(
-                f"class at eigenvalue {cls.value!r} does not factor into an orthogonal "
-                "symplectic transform; the input is not isotropic to working precision"
-            )
-        transform_a[rows] = class_transform.T @ transform_a[rows]
-        theta = 0.5 * np.arctan2(kappa, cls.value)
-        pairs += [
-            EntangledPair(cls.value, kappa, float(theta), cls.a_local[k], cls.b_local[k])
-            for k in range(g)
-        ]
-
+    pairs = [
+        EntangledPair(float(lams_a[k]), float(kappas[k]),
+                      float(0.5 * np.arctan2(kappas[k], lams_a[k])), k, k)
+        for k in range(n_pairs)
+    ]
     pairs.sort(key=lambda p: (-p.theta, p.a_mode))
-    residual_a.sort(key=lambda r: r.mode)
-    residual_b.sort(key=lambda r: r.mode)
     return ModewiseDecomposition(
-        transform_a=transform_a,
-        transform_b=transform_b,
+        transform_a=_complex_to_real(unitary_a) @ rot_a,
+        transform_b=_complex_to_real(unitary_b) @ rot_b,
         pairs=pairs,
-        residual_a=residual_a,
-        residual_b=residual_b,
+        residual_a=[ResidualMode(k, float(lams_a[k])) for k in range(n_pairs, n_a)],
+        residual_b=[ResidualMode(k, float(lams_b[k])) for k in range(n_pairs, n_b)],
         lambda0=float(lambda0),
         partition=partition,
     )

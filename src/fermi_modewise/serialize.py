@@ -122,10 +122,14 @@ def report_to_dict(report: EntanglementReport) -> dict:
 
 
 def parse_float_list(text: str) -> list[float]:
+    """Comma-separated finite floats."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise InvalidInputError(f"expected comma-separated floats, got {text!r}") from exc
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError(f"expected finite values, got {text!r}")
+    return values
 
 
 def write_spectrum_csv(lambdas, stream: TextIO):

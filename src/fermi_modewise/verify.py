@@ -14,17 +14,13 @@ from itertools import combinations, product
 import numpy as np
 
 from .canonical import is_orthogonal, williamson_form
-from .decompose import (
-    DecompositionTolerances,
-    modewise_decompose,
-    reconstruction_residual,
-)
+from .decompose import modewise_decompose, reconstruction_residual
 from .entanglement import (
     binary_entropy,
     ppt_min_eigenvalue,
     pure_mode_entanglement,
 )
-from .errors import NotIsotropicError
+from .errors import InvalidInputError, NotIsotropicError
 from .fock import (
     FockState,
     build_majoranas,
@@ -353,6 +349,10 @@ def check_negative_controls(seed: int = 29) -> CheckResult:
 
 def run_all(max_modes: int = 6, trials: int = 20, seed: int = 7) -> list[CheckResult]:
     """Full verification battery at a configurable scale."""
+    if max_modes < 2 or trials < 1:
+        raise InvalidInputError(
+            f"verify needs max_modes >= 2 and trials >= 1, got {max_modes} and {trials}"
+        )
     fidelity, entropy = check_theorem_and_entropy(
         trials=trials, max_modes=max_modes, seed=seed
     )

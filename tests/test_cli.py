@@ -134,14 +134,23 @@ def test_cli_exit_codes(capsys, tmp_path):
         ["generate", "--kind", "kitaev", "--n", "4", "--mu", "nan", "--t", "1", "--delta", "1"],
         ["generate", "--kind", "bcs", "--thetas", "0.3", "--out", "."],
         ["generate", "--spec", "bad_spec.json"],
+        ["generate", "--spec", "number_spec.json"],
+        ["generate", "--spec", "number_parameters_spec.json"],
+        ["verify", "--max-modes", "1", "--trials", "1"],
+        ["verify", "--trials", "0"],
+        ["ppt", "--lambda0", "0.5", "--kappas", "nan"],
     ],
-    ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec"],
+    ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec",
+         "spec-not-object", "spec-parameters-not-object", "verify-one-mode",
+         "verify-no-trials", "nan-kappa"],
 )
 def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, argv):
     data = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
     data["matrix"][0][1] = float("nan")
     (tmp_path / "nan.json").write_text(json.dumps(data))
     (tmp_path / "bad_spec.json").write_text('{"kind": ')
+    (tmp_path / "number_spec.json").write_text("5")
+    (tmp_path / "number_parameters_spec.json").write_text('{"kind": "bcs", "parameters": 5}')
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 1

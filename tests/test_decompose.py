@@ -1,22 +1,35 @@
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fermi_modewise
 from fermi_modewise import (
     Bipartition,
     CovarianceMatrix,
     InvalidInputError,
     NotIsotropicError,
+    NumericalConsistencyError,
     assemble_block_fcm,
     bcs_fcm,
+    dense_ground_state,
     diagonal_fcm,
+    ground_state_fcm,
     haar_orthogonal,
     is_orthogonal,
     isotropic_fcm,
     j_blocks,
+    kitaev_hamiltonian,
     modewise_decompose,
     pair_block,
+    pure_mode_entanglement,
     quadrature_indices,
     random_pure_fcm,
+    reconstruct_state,
     reconstruction_residual,
     schmidt_entropy,
     transformed_fcm,
@@ -222,3 +235,102 @@ def test_not_isotropic_raises_with_deviation():
 def test_partition_mismatch_raises():
     with pytest.raises(InvalidInputError):
         modewise_decompose(diagonal_fcm([1.0, 1.0]), Bipartition((0,), (1, 2)))
+
+
+# Open chains with t = 1: (mu, delta).  Their ground states obey an area law,
+# so most pair couplings across a cut are exponentially small.
+CHAINS = {"xx": (0.0, 0.0), "topological": (0.5, 1.0), "critical": (2.0, 1.0),
+          "trivial": (3.0, 1.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def chain_ground_state(name: str, n: int) -> CovarianceMatrix:
+    mu, delta = CHAINS[name]
+    return ground_state_fcm(kitaev_hamiltonian(n, mu, 1.0, delta)).fcm
+
+
+def cut_partition(n: int, cut: int) -> Bipartition:
+    return Bipartition(tuple(range(cut)), tuple(range(cut, n)))
+
+
+def cross_block_reference(state: CovarianceMatrix, cut: int):
+    """Pair couplings and pure-state entropy from the cross block's singular values.
+
+    For a cut into the first ``cut`` modes and the rest, each coupling appears
+    twice among the singular values; sin^2(theta) = k^2 / (2 (1 + sqrt(1 - k^2)))
+    avoids the cancellation of (1 - lambda) / 2.
+    """
+    sigma = np.linalg.svd(state.matrix[: 2 * cut, 2 * cut :], compute_uv=False)
+    kappas = np.clip(sigma.reshape(-1, 2).mean(axis=1), 0.0, 1.0)
+    sin_sq = kappas**2 / (2.0 * (1.0 + np.sqrt(1.0 - kappas**2)))
+    return kappas, sum(binary_entropy(p) for p in sin_sq)
+
+
+def assert_matches_cross_block(state: CovarianceMatrix, cut: int):
+    decomp = modewise_decompose(state, cut_partition(state.n_modes, cut))
+    assert reconstruction_residual(decomp, state) <= 1e-8
+    ref_kappas, ref_entropy = cross_block_reference(state, cut)
+    kappas = np.zeros_like(ref_kappas)
+    kappas[: decomp.n_pairs] = sorted((p.kappa for p in decomp.pairs), reverse=True)
+    assert np.max(np.abs(kappas - ref_kappas)) <= 1e-8
+    assert pure_mode_entanglement(decomp).total_modes_entropy == pytest.approx(
+        ref_entropy, abs=1e-8
+    )
+
+
+@pytest.mark.parametrize("position", ["first", "half", "last"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_chain_cuts_match_cross_block(chain, n, position):
+    cut = {"first": 1, "half": n // 2, "last": n - 1}[position]
+    assert_matches_cross_block(chain_ground_state(chain, n), cut)
+
+
+def test_chain_every_cut_against_dense_oracle():
+    ham = kitaev_hamiltonian(10, 0.5, 1.0, 1.0)
+    state, _, _ = dense_ground_state(ham)
+    fcm = ground_state_fcm(ham).fcm
+    for cut in range(1, 10):
+        part = cut_partition(10, cut)
+        decomp = modewise_decompose(fcm, part)
+        entropy = pure_mode_entanglement(decomp).total_modes_entropy
+        assert entropy == pytest.approx(schmidt_entropy(state, part), abs=1e-8)
+        _, fidelity = reconstruct_state(decomp, state)
+        assert fidelity >= 1 - 1e-7
+
+
+def test_random_state_exact_half_cut_with_tiny_coupling():
+    # the smallest coupling is 4.5e-5: its local eigenvalue lies within 1e-8
+    # of lambda0, yet it is a genuine pair
+    assert_matches_cross_block(random_pure_fcm(100, 6279), 50)
+
+
+def test_cross_block_commuting_with_j2_raises():
+    # a pair at lambda0 = 1e-3 whose cross block gains a part commuting with
+    # J2: M^2 stays within the isotropy tolerance, the block structure fails
+    lambda0, lam, extra = 1e-3, 0.5e-3, 2e-6
+    matrix = pair_block(lam, np.sqrt(lambda0**2 - lam**2))
+    matrix[0:2, 2:4] += extra * np.eye(2)
+    matrix[2:4, 0:2] -= extra * np.eye(2)
+    with pytest.raises(NumericalConsistencyError, match="commuting with J2"):
+        modewise_decompose(CovarianceMatrix(matrix), Bipartition((0,), (1,)))
+
+
+def test_chain_results_do_not_depend_on_blas_threads():
+    script = (
+        "import fermi_modewise as fm\n"
+        "for n, cuts in ((128, (1,)), (256, (1, 255))):\n"
+        "    fcm = fm.ground_state_fcm(fm.kitaev_hamiltonian(n, 0.0, 1.0, 0.0)).fcm\n"
+        "    for cut in cuts:\n"
+        "        part = fm.Bipartition(tuple(range(cut)), tuple(range(cut, n)))\n"
+        "        print(fm.reconstruction_residual(fm.modewise_decompose(fcm, part), fcm))\n"
+    )
+    package_root = str(Path(fermi_modewise.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    residuals = [float(line) for line in result.stdout.split()]
+    assert len(residuals) == 3
+    assert max(residuals) <= 1e-8
