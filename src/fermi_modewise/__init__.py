@@ -22,12 +22,9 @@ from .decompose import (
     EntangledPair,
     ModewiseDecomposition,
     ResidualMode,
-    assemble_block_fcm,
-    decomposition_mode_order,
     modewise_decompose,
     pair_block,
     reconstruction_residual,
-    transformed_fcm,
 )
 from .entanglement import (
     EntanglementReport,
@@ -91,12 +88,9 @@ __all__ = [
     "EntangledPair",
     "ModewiseDecomposition",
     "ResidualMode",
-    "assemble_block_fcm",
-    "decomposition_mode_order",
     "modewise_decompose",
     "pair_block",
     "reconstruction_residual",
-    "transformed_fcm",
     "EntanglementReport",
     "binary_entropy",
     "isotropic_separability",

@@ -242,7 +242,7 @@ def _sweep_row(state: CovarianceMatrix, cut: int, value: float) -> dict:
     decomp = modewise_decompose(state, partition)
     thetas = [p.theta for p in decomp.pairs]
     entropy = None
-    if abs(decomp.lambda0 - 1.0) <= 1e-9:
+    if decomp.pure:
         entropy = pure_mode_entanglement(decomp).total_modes_entropy
     return {"value": value, "cut": cut, "thetas": thetas, "entropy": entropy}
 

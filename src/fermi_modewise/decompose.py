@@ -55,6 +55,10 @@ class DecompositionTolerances:
     pair: float = 1e-8
 
 
+# Largest |lambda0 - 1| of a decomposition that counts as pure.
+_PURITY_TOL = 1e-9
+
+
 class EntangledPair(NamedTuple):
     """One two-mode squeezed pair linking transformed modes of A and B."""
 
@@ -97,6 +101,11 @@ class ModewiseDecomposition:
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
+
+    @property
+    def pure(self) -> bool:
+        """Whether the decomposed state is pure: |lambda0 - 1| <= 1e-9."""
+        return abs(self.lambda0 - 1.0) <= _PURITY_TOL
 
 
 def _complex_to_real(x: np.ndarray) -> np.ndarray:
@@ -203,51 +212,32 @@ def pair_block(lam: float, kappa: float) -> np.ndarray:
     )
 
 
-def decomposition_mode_order(decomp: ModewiseDecomposition) -> list[int]:
-    """Joint transformed-mode order of the block form.
-
-    Modes 0..m-1 are the transformed A modes, m..m+n-1 the transformed B
-    modes; pairs come first (A then B member), then residual A, then
-    residual B.
-    """
-    m = len(decomp.partition.a_modes)
-    order: list[int] = []
-    for pair in decomp.pairs:
-        order += [pair.a_mode, m + pair.b_mode]
-    order += [r.mode for r in decomp.residual_a]
-    order += [m + r.mode for r in decomp.residual_b]
-    return order
-
-
-def transformed_fcm(decomp: ModewiseDecomposition, state: CovarianceMatrix) -> np.ndarray:
-    """Apply the local transforms and block reordering to the original matrix."""
-    part = decomp.partition
-    m = len(part.a_modes)
-    perm = quadrature_indices(tuple(part.a_modes) + tuple(part.b_modes))
-    permuted = state.matrix[np.ix_(perm, perm)]
-    joint = np.zeros_like(permuted)
-    joint[: 2 * m, : 2 * m] = decomp.transform_a
-    joint[2 * m :, 2 * m :] = decomp.transform_b
-    rotated = joint @ permuted @ joint.T
-    q = quadrature_indices(decomposition_mode_order(decomp))
-    return rotated[np.ix_(q, q)]
-
-
-def assemble_block_fcm(decomp: ModewiseDecomposition) -> CovarianceMatrix:
-    """Direct-sum covariance matrix built from the decomposition parameters."""
-    n = decomp.n_modes
-    out = np.zeros((2 * n, 2 * n))
-    offset = 0
-    for pair in decomp.pairs:
-        out[offset : offset + 4, offset : offset + 4] = pair_block(pair.lam, pair.kappa)
-        offset += 4
-    for residual in decomp.residual_a + decomp.residual_b:
-        out[offset : offset + 2, offset : offset + 2] = lambda_blocks([residual.lam])
-        offset += 2
-    return CovarianceMatrix(out)
-
-
 def reconstruction_residual(decomp: ModewiseDecomposition, state: CovarianceMatrix) -> float:
-    """max|transformed original - assembled block form|; the self-check."""
-    delta = transformed_fcm(decomp, state) - assemble_block_fcm(decomp).matrix
-    return float(np.max(np.abs(delta))) if delta.size else 0.0
+    """Largest entry by which the locally transformed state misses its block form.
+
+    In the transformed local bases, T_A M_AA T_A^T and T_B M_BB T_B^T must be
+    lambda J2 blocks and T_A M_AB T_B^T must hold kappa [[0, 1], [1, 0]] at
+    each pair's modes and zeros elsewhere.  Every lambda and kappa is taken
+    from the decomposition itself; M_BA adds nothing, being -M_AB^T.
+    """
+    part = decomp.partition
+    rows_a = quadrature_indices(part.a_modes)
+    rows_b = quadrature_indices(part.b_modes)
+    lams_a = np.zeros(len(part.a_modes))
+    lams_b = np.zeros(len(part.b_modes))
+    cross = np.zeros((len(rows_a), len(rows_b)))
+    for pair in decomp.pairs:
+        a, b = 2 * pair.a_mode, 2 * pair.b_mode
+        lams_a[pair.a_mode] = lams_b[pair.b_mode] = pair.lam
+        cross[a, b + 1] = cross[a + 1, b] = pair.kappa
+    for lams, residuals in ((lams_a, decomp.residual_a), (lams_b, decomp.residual_b)):
+        for residual in residuals:
+            lams[residual.mode] = residual.lam
+
+    t_a, t_b, mat = decomp.transform_a, decomp.transform_b, state.matrix
+    deltas = (
+        t_a @ mat[np.ix_(rows_a, rows_a)] @ t_a.T - lambda_blocks(lams_a),
+        t_b @ mat[np.ix_(rows_b, rows_b)] @ t_b.T - lambda_blocks(lams_b),
+        t_a @ mat[np.ix_(rows_a, rows_b)] @ t_b.T - cross,
+    )
+    return max((float(np.max(np.abs(d))) for d in deltas if d.size), default=0.0)

@@ -18,7 +18,6 @@ from .decompose import ModewiseDecomposition
 from .errors import InvalidInputError
 
 _LN2 = float(np.log(2.0))
-_PURITY_TOL = 1e-9
 _PAIR_CONSTRAINT_TOL = 1e-9
 
 
@@ -113,7 +112,7 @@ def pure_mode_entanglement(decomp: ModewiseDecomposition) -> EntanglementReport:
     Each pair contributes the binary entropy of its Schmidt weight
     cos^2(theta); decoupled modes are local vacua and contribute nothing.
     """
-    if abs(decomp.lambda0 - 1.0) > _PURITY_TOL:
+    if not decomp.pure:
         raise InvalidInputError(
             f"entanglement of modes needs a pure decomposition, lambda0 = {decomp.lambda0!r}"
         )
@@ -128,7 +127,7 @@ def isotropic_separability(decomp: ModewiseDecomposition) -> EntanglementReport:
     to be pure.
     """
     report = _pair_report(decomp)
-    if abs(decomp.lambda0 - 1.0) <= _PURITY_TOL:
+    if decomp.pure:
         report.pair_entropies = [binary_entropy(np.cos(p.theta) ** 2) for p in decomp.pairs]
         report.total_modes_entropy = float(sum(report.pair_entropies))
     return report
@@ -136,12 +135,12 @@ def isotropic_separability(decomp: ModewiseDecomposition) -> EntanglementReport:
 
 def _pair_report(decomp: ModewiseDecomposition) -> EntanglementReport:
     lambda0 = _clamped_lambda0(decomp.lambda0)
-    flags = [ppt_pair_entangled(lambda0, min(p.kappa, lambda0)) for p in decomp.pairs]
-    negativity = 0.0
+    flags, negativity = [], 0.0
     for pair in decomp.pairs:
         kappa = min(pair.kappa, lambda0)
-        lam = float(np.sqrt(max(lambda0**2 - kappa**2, 0.0)))
-        negativity += max(0.0, -ppt_min_eigenvalue(lambda0, lam, kappa))
+        flags.append(ppt_pair_entangled(lambda0, kappa))
+        # the negative PT eigenvalue, when there is one: (1 - lambda0^2)/4 - kappa/2
+        negativity += max(0.0, 0.5 * kappa - 0.25 * (1.0 - lambda0**2))
     return EntanglementReport(
         pair_npt_flags=flags,
         separable=not any(flags),

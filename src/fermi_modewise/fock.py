@@ -49,8 +49,8 @@ def mode_cap() -> int:
     return cap
 
 
-def _check_cap(n_modes: int, cap=None):
-    limit = mode_cap() if cap is None else cap
+def _check_cap(n_modes: int):
+    limit = mode_cap()
     if n_modes > limit:
         raise ResourceLimitError(
             f"{n_modes} modes exceed the dense Fock-space cap of {limit}; "
@@ -117,9 +117,9 @@ def _majorana_action(n_modes: int):
     return perm, phase
 
 
-def build_majoranas(n_modes: int, cap=None) -> np.ndarray:
+def build_majoranas(n_modes: int) -> np.ndarray:
     """Stack of the 2N dense Majorana matrices, indexed as in the FCM."""
-    _check_cap(n_modes, cap)
+    _check_cap(n_modes)
     perm, phase = _majorana_action(n_modes)
     dim = 2**n_modes
     g = np.zeros((2 * n_modes, dim, dim), dtype=complex)
@@ -127,7 +127,7 @@ def build_majoranas(n_modes: int, cap=None) -> np.ndarray:
     return g
 
 
-def dense_hamiltonian(ham: QuadraticHamiltonian, cap=None) -> np.ndarray:
+def dense_hamiltonian(ham: QuadraticHamiltonian) -> np.ndarray:
     """Dense 2^N x 2^N matrix of a quadratic Hamiltonian.
 
     With b_i u = low[i] * u[flip[i]], each term b_i^dag b_j or b_i^dag b_j^dag
@@ -135,7 +135,7 @@ def dense_hamiltonian(ham: QuadraticHamiltonian, cap=None) -> np.ndarray:
     of H is one scatter of N^2 2^N entries.
     """
     n = ham.n_modes
-    _check_cap(n, cap)
+    _check_cap(n)
     perm, phase = _majorana_action(n)
     flip = perm[0::2]
     low = 0.5 * (phase[0::2] - 1.0j * phase[1::2])
@@ -159,7 +159,7 @@ def dense_hamiltonian(ham: QuadraticHamiltonian, cap=None) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
-def dense_ground_state(ham: QuadraticHamiltonian, cap=None, gap_tol: float = 1e-10):
+def dense_ground_state(ham: QuadraticHamiltonian, gap_tol: float = 1e-10):
     """Lowest eigenvector of the dense Hamiltonian.
 
     Returns ``(state, energy, degenerate)``.  The global phase is fixed by
@@ -167,7 +167,7 @@ def dense_ground_state(ham: QuadraticHamiltonian, cap=None, gap_tol: float = 1e-
     and positive; ``degenerate`` is set when the spectral gap is below
     ``gap_tol``.
     """
-    h = dense_hamiltonian(ham, cap)
+    h = dense_hamiltonian(ham)
     energies, vectors = np.linalg.eigh(h)
     vec = vectors[:, 0].copy()
     pivot = int(np.argmax(np.abs(vec)))
@@ -178,10 +178,10 @@ def dense_ground_state(ham: QuadraticHamiltonian, cap=None, gap_tol: float = 1e-
     return FockState(ham.n_modes, vec), float(energies[0]), degenerate
 
 
-def _hamiltonian_from_majorana_form(coupling: np.ndarray, offset: float, cap=None) -> np.ndarray:
+def _hamiltonian_from_majorana_form(coupling: np.ndarray, offset: float) -> np.ndarray:
     """Dense matrix of (i/4) g^T h g + offset; used in tests as a cross-check."""
     n = coupling.shape[0] // 2
-    g = build_majoranas(n, cap)
+    g = build_majoranas(n)
     partial = np.tensordot(coupling, g, axes=(1, 0))
     quad = np.einsum("aij,ajk->ik", g, partial)
     return 0.25j * quad + offset * np.eye(2**n)
@@ -295,7 +295,7 @@ class _TransformedModes:
         return vec
 
 
-def reconstruct_state(decomp: ModewiseDecomposition, reference: FockState, cap=None):
+def reconstruct_state(decomp: ModewiseDecomposition, reference: FockState):
     """Rebuild a pure Gaussian state from its modewise decomposition.
 
     Constructs the transformed-mode operators from the local orthogonal
@@ -307,25 +307,23 @@ def reconstruct_state(decomp: ModewiseDecomposition, reference: FockState, cap=N
     of the transformed modes, which also yields the fidelity directly:
     |<ref|T vac>| = |P_vac T^dag ref|.
     """
-    if abs(decomp.lambda0 - 1.0) > 1e-9:
+    if not decomp.pure:
         raise InvalidInputError(
             f"state reconstruction requires a pure decomposition, lambda0 = {decomp.lambda0!r}"
         )
     n = decomp.n_modes
-    _check_cap(n, cap)
+    _check_cap(n)
     if reference.n_modes != n:
         raise InvalidInputError(
             f"reference state has {reference.n_modes} modes, decomposition has {n}"
         )
 
     part = decomp.partition
-    perm = quadrature_indices(tuple(part.a_modes) + tuple(part.b_modes))
     m = len(part.a_modes)
-    joint = np.zeros((2 * n, 2 * n))
-    joint[: 2 * m, : 2 * m] = decomp.transform_a
-    joint[2 * m :, 2 * m :] = decomp.transform_b
-    rotation = np.zeros_like(joint)
-    rotation[:, perm] = joint  # transformed quadratures in the original index order
+    # rows: transformed quadratures, A then B; columns: original quadratures
+    rotation = np.zeros((2 * n, 2 * n))
+    rotation[: 2 * m, quadrature_indices(part.a_modes)] = decomp.transform_a
+    rotation[2 * m :, quadrature_indices(part.b_modes)] = decomp.transform_b
     modes = _TransformedModes(n, rotation)
 
     def apply_pairs(vec, sign):

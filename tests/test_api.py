@@ -1,0 +1,28 @@
+"""The public names and the traced benchmark layers exist."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import fermi_modewise
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_public_names_resolve():
+    missing = [name for name in fermi_modewise.__all__ if not hasattr(fermi_modewise, name)]
+    assert missing == []
+
+
+def test_traced_benchmark_layers_exist():
+    # the traced benchmark run wraps each (module, attribute) of TRACED by name
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    layers = tracing.TRACED + (tuple(tracing.CONSTRUCTOR.split(".")),)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in layers
+        if not hasattr(importlib.import_module(f"fermi_modewise.{module}"), attr)
+    ]
+    assert missing == []

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import subprocess
@@ -14,7 +15,6 @@ from fermi_modewise import (
     InvalidInputError,
     NotIsotropicError,
     NumericalConsistencyError,
-    assemble_block_fcm,
     bcs_fcm,
     dense_ground_state,
     diagonal_fcm,
@@ -22,8 +22,8 @@ from fermi_modewise import (
     haar_orthogonal,
     is_orthogonal,
     isotropic_fcm,
-    j_blocks,
     kitaev_hamiltonian,
+    lambda_blocks,
     modewise_decompose,
     pair_block,
     pure_mode_entanglement,
@@ -32,7 +32,6 @@ from fermi_modewise import (
     reconstruct_state,
     reconstruction_residual,
     schmidt_entropy,
-    transformed_fcm,
 )
 from fermi_modewise.entanglement import binary_entropy
 from fermi_modewise.verify import bipartitions_up_to, random_gaussian_state
@@ -99,33 +98,71 @@ def test_reconstruction_and_pair_entropy_against_oracle():
     assert modewise == pytest.approx(schmidt_entropy(state, part), abs=1e-8)
 
 
-def test_assemble_block_fcm():
-    vacuum = diagonal_fcm([1.0] * 4)
-    decomp = modewise_decompose(vacuum, Bipartition((0, 1), (2, 3)))
-    assert np.allclose(assemble_block_fcm(decomp).matrix, j_blocks(4))
-
-    theta = 0.42
-    lam, kappa = np.cos(2 * theta), np.sin(2 * theta)
-    state = CovarianceMatrix(pair_block(lam, kappa))
-    decomp = modewise_decompose(state, Bipartition((0,), (1,)))
-    expected = np.array(
-        [
-            [0.0, -lam, 0.0, kappa],
-            [lam, 0.0, kappa, 0.0],
-            [0.0, -kappa, 0.0, -lam],
-            [-kappa, 0.0, lam, 0.0],
-        ]
-    )
-    assert np.max(np.abs(assemble_block_fcm(decomp).matrix - expected)) < 1e-10
-
-
-def test_assembled_matrix_equals_transformed_original():
+def test_reconstruction_residual_over_all_small_bipartitions():
     rng = np.random.default_rng(31)
     _, fcm = random_gaussian_state(5, rng)
     for part in bipartitions_up_to(5, 2):
         decomp = modewise_decompose(fcm, part)
-        delta = transformed_fcm(decomp, fcm) - assemble_block_fcm(decomp).matrix
-        assert np.max(np.abs(delta)) < 1e-8
+        assert reconstruction_residual(decomp, fcm) < 1e-8
+
+
+def joint_block_form_deviation(decomp, state: CovarianceMatrix) -> float:
+    """max|R M R^T - B| with the joint rotation R and the direct-sum block form B."""
+    part = decomp.partition
+    n, m = decomp.n_modes, len(part.a_modes)
+    rotation = np.zeros((2 * n, 2 * n))
+    rotation[: 2 * m, quadrature_indices(part.a_modes)] = decomp.transform_a
+    rotation[2 * m :, quadrature_indices(part.b_modes)] = decomp.transform_b
+    blocks = np.zeros((2 * n, 2 * n))
+    for pair in decomp.pairs:
+        q = quadrature_indices([pair.a_mode, m + pair.b_mode])
+        blocks[np.ix_(q, q)] = pair_block(pair.lam, pair.kappa)
+    residuals = [(r.mode, r.lam) for r in decomp.residual_a]
+    residuals += [(m + r.mode, r.lam) for r in decomp.residual_b]
+    for mode, lam in residuals:
+        blocks[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = lambda_blocks([lam])
+    return float(np.max(np.abs(rotation @ state.matrix @ rotation.T - blocks)))
+
+
+def rotate_b_modes(decomp, angle: float):
+    """Rotate every transformed B mode within its quadratures by ``angle``.
+
+    This keeps T_B M_BB T_B^T in lambda J2 form and moves only the cross block.
+    """
+    phase = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    rotation = np.kron(np.eye(len(decomp.partition.b_modes)), phase)
+    return dataclasses.replace(decomp, transform_b=rotation @ decomp.transform_b)
+
+
+def test_reconstruction_residual_matches_joint_block_form():
+    rng = np.random.default_rng(47)
+    cases = [
+        (random_gaussian_state(6, rng)[1], Bipartition((0, 4), (1, 2, 3, 5))),
+        (isotropic_fcm(7, 0.8, rng), Bipartition((1, 2, 6), (0, 3, 4, 5))),
+        (chain_ground_state("topological", 16), cut_partition(16, 5)),
+        (chain_ground_state("xx", 16), cut_partition(16, 8)),
+    ]
+    for state, part in cases:
+        decomp = modewise_decompose(state, part)
+        noisy = dataclasses.replace(
+            decomp,
+            transform_b=decomp.transform_b + 1e-4 * rng.standard_normal(decomp.transform_b.shape),
+        )
+        for variant in (decomp, noisy, rotate_b_modes(decomp, 1e-4)):
+            assert reconstruction_residual(variant, state) == pytest.approx(
+                joint_block_form_deviation(variant, state), rel=1e-12, abs=1e-15
+            )
+
+
+def test_reconstruction_residual_of_unphysical_pair_is_finite():
+    state = random_pure_fcm(4, 3)
+    decomp = modewise_decompose(state, Bipartition((0, 1), (2, 3)))
+    pair = decomp.pairs[0]
+    raised = pair._replace(kappa=np.sqrt(1.0 - pair.lam**2) + 1e-3)
+    broken = dataclasses.replace(decomp, pairs=[raised] + decomp.pairs[1:])
+    residual = reconstruction_residual(broken, state)
+    assert np.isfinite(residual)
+    assert residual > 1e-8
 
 
 def test_local_spectrum_consistency():
