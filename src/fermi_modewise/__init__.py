@@ -12,7 +12,6 @@ from .canonical import (
     WilliamsonForm,
     antisymmetrize,
     is_orthogonal,
-    is_orthogonal_symplectic,
     j_blocks,
     lambda_blocks,
     williamson_form,
@@ -80,7 +79,6 @@ __all__ = [
     "WilliamsonForm",
     "antisymmetrize",
     "is_orthogonal",
-    "is_orthogonal_symplectic",
     "j_blocks",
     "lambda_blocks",
     "williamson_form",

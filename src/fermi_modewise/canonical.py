@@ -15,11 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInputError
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+# LAPACK Hessenberg reduction, called directly: on the small blocks of the
+# dense oracle the argument checks of scipy.linalg.hessenberg take longer than
+# the reduction itself.
+_GEHRD, _GEHRD_LWORK, _ORGHR, _ORGHR_LWORK = get_lapack_funcs(
+    ("gehrd", "gehrd_lwork", "orghr", "orghr_lwork"), dtype=np.float64
+)
 
 
 def j_blocks(n_blocks: int) -> np.ndarray:
@@ -74,14 +81,17 @@ class WilliamsonForm:
 
 
 def williamson_form(mat: np.ndarray, sym_tol: float = 1e-12) -> WilliamsonForm:
-    """Compute the antisymmetric canonical form via the real Schur decomposition.
+    """Compute the antisymmetric canonical form by the skew route of Ward & Gray.
 
-    For antisymmetric input the real Schur form is block diagonal with 2x2
-    antisymmetric blocks (plus 1x1 zeros for null directions).  Each block is
-    normalized to +l J2 with l >= 0 by swapping its two rows where needed, and
-    blocks are sorted by descending l (ties keep Schur output order).
+    An orthogonal Hessenberg reduction Q^T M Q of an antisymmetric matrix is
+    tridiagonal with subdiagonal e.  Reordered into even and odd indices it is
+    [[0, B], [-B^T, 0]] with the N x N lower bidiagonal B[k, k] = -e[2k],
+    B[k+1, k] = e[2k+1], so the SVD B = U S V^T gives the l_i = S_ii and the
+    rows O[0::2] = (Q[:, 1::2] V)^T, O[1::2] = (Q[:, 0::2] U)^T.  See R. C. Ward
+    and L. J. Gray, "Eigensystem computation for skew-symmetric matrices and a
+    class of symmetric matrices", ACM TOMS 4 (1978) 278.
 
-    Deterministic for fixed input.
+    Deterministic for fixed input; the l_i come in descending order.
     """
     m = antisymmetrize(mat, sym_tol)
     dim = m.shape[0]
@@ -90,35 +100,19 @@ def williamson_form(mat: np.ndarray, sym_tol: float = 1e-12) -> WilliamsonForm:
     if dim == 0:
         return WilliamsonForm(np.zeros((0, 0)), np.zeros(0))
 
-    t, z = schur(m, output="real")
-
-    # Collect 2x2 blocks (nonzero subdiagonal entry) and leftover null columns.
-    blocks: list[tuple[float, np.ndarray, np.ndarray]] = []
-    null_columns: list[np.ndarray] = []
-    i = 0
-    while i < dim:
-        if i + 1 < dim and t[i + 1, i] != 0.0:
-            b = t[i, i + 1]
-            if b <= 0.0:
-                blocks.append((-b, z[:, i], z[:, i + 1]))
-            else:
-                blocks.append((b, z[:, i + 1], z[:, i]))
-            i += 2
-        else:
-            null_columns.append(z[:, i])
-            i += 1
-    for j in range(0, len(null_columns), 2):
-        blocks.append((0.0, null_columns[j], null_columns[j + 1]))
-
-    order = sorted(range(len(blocks)), key=lambda k: (-blocks[k][0], k))
+    hi = dim - 1
+    lwork = int(max(_GEHRD_LWORK(dim, lo=0, hi=hi)[0], _ORGHR_LWORK(dim, lo=0, hi=hi)[0]))
+    h, tau, _ = _GEHRD(m, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
+    e = np.diagonal(h, -1).copy()
+    q, _ = _ORGHR(h, tau, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
+    n = dim // 2
+    bidiagonal = np.diag(-e[0::2])
+    bidiagonal[np.arange(1, n), np.arange(n - 1)] = e[1::2]
+    u, sigma, vt = np.linalg.svd(bidiagonal)
     orthogonal = np.empty((dim, dim))
-    lambdas = np.empty(dim // 2)
-    for slot, k in enumerate(order):
-        lam, row_a, row_b = blocks[k]
-        lambdas[slot] = lam
-        orthogonal[2 * slot] = row_a
-        orthogonal[2 * slot + 1] = row_b
-    return WilliamsonForm(orthogonal, lambdas)
+    orthogonal[0::2] = vt @ q[:, 1::2].T
+    orthogonal[1::2] = u.T @ q[:, 0::2].T
+    return WilliamsonForm(orthogonal, np.abs(sigma))
 
 
 def is_orthogonal(mat: np.ndarray, tol: float = 1e-10) -> bool:
@@ -129,16 +123,3 @@ def is_orthogonal(mat: np.ndarray, tol: float = 1e-10) -> bool:
     if mat.size == 0:
         return True
     return np.max(np.abs(mat @ mat.T - np.eye(mat.shape[0]))) <= tol
-
-
-def is_orthogonal_symplectic(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff the matrix is orthogonal and commutes with diag(J2, ..., J2)."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] % 2:
-        raise InvalidInputError(f"dimension must be even, got {mat.shape[0]}")
-    if not is_orthogonal(mat, tol):
-        return False
-    j = j_blocks(mat.shape[0] // 2)
-    return np.max(np.abs(mat @ j - j @ mat)) <= tol

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import J2, antisymmetrize, j_blocks, lambda_blocks, williamson_form
+from .canonical import antisymmetrize, j_blocks, lambda_blocks, williamson_form
 from .errors import InvalidInputError
 
 PHYSICALITY_TOL = 1e-9
@@ -138,20 +138,25 @@ def quadrature_indices(modes) -> np.ndarray:
     return np.column_stack((2 * modes, 2 * modes + 1)).reshape(-1)
 
 
+# Twice the coefficients of b_i^dag and b_i on the quadratures (g_2i, g_2i+1).
+_CRE = np.array([1.0, 1.0j])
+_ANN = _CRE.conj()
+
+
 def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> MajoranaHamiltonian:
     """Rewrite a quadratic Hamiltonian as (i/4) g^T h g + offset.
 
     Uses b_i = (g_{2i} - i g_{2i+1}) / 2; ``h`` is real antisymmetric and the
     offset collects the normal-ordering constant.
     """
-    n = ham.n_modes
-    # Row i of ``ann``/``cre`` holds the quadrature coefficients of b_i / b_i^dag.
-    ann = np.zeros((n, 2 * n), dtype=complex)
-    ann[np.arange(n), 2 * np.arange(n)] = 0.5
-    ann[np.arange(n), 2 * np.arange(n) + 1] = -0.5j
-    cre = ann.conj()
-
-    quad = cre.T @ ham.hopping @ ann + cre.T @ ham.pairing @ cre - ann.T @ ham.pairing.conj() @ ann
+    # Each term C_ij b_i^dag b_j, A_ij b_i^dag b_j^dag and -A*_ij b_i b_j adds
+    # its coefficient times the outer product of the two operators' quadrature
+    # coefficients to the 2x2 mode block (i, j) of the quadrature form.
+    quad = 0.25 * (
+        np.kron(ham.hopping, np.outer(_CRE, _ANN))
+        + np.kron(ham.pairing, np.outer(_CRE, _CRE))
+        - np.kron(ham.pairing.conj(), np.outer(_ANN, _ANN))
+    )
     offset = float(np.trace(quad).real)
     anti = 0.5 * (quad - quad.T)
     residual = np.max(np.abs(anti.real)) if anti.size else 0.0
@@ -181,8 +186,9 @@ def ground_state_fcm(ham: QuadraticHamiltonian, degeneracy_tol: float = 1e-8) ->
     """
     maj = hamiltonian_to_majorana(ham)
     form = williamson_form(maj.coupling)
-    n = ham.n_modes
-    fcm = CovarianceMatrix(form.orthogonal.T @ j_blocks(n) @ form.orthogonal)
+    # O^T diag(J2) O = X^T - X with X = sum_k O[2k]^T O[2k+1]
+    x = form.orthogonal[0::2].T @ form.orthogonal[1::2]
+    fcm = CovarianceMatrix(x.T - x)
     energy = maj.offset - 0.5 * float(np.sum(form.lambdas))
     degenerate = bool(np.any(form.lambdas <= degeneracy_tol))
     return GroundStateFCM(fcm, energy, degenerate)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from fermi_modewise import (
     InvalidInputError,
     J2,
     antisymmetrize,
+    diagonal_fcm,
+    haar_orthogonal,
+    hamiltonian_to_majorana,
     is_orthogonal,
-    is_orthogonal_symplectic,
     j_blocks,
+    kitaev_hamiltonian,
     lambda_blocks,
     williamson_form,
 )
@@ -88,6 +92,48 @@ def test_williamson_keeps_zero_eigenvalues():
     assert reconstruction_error(mat, form) < 1e-9
 
 
+def _haar_rotated(lambdas, seed):
+    r = haar_orthogonal(2 * len(lambdas), seed)
+    return r @ lambda_blocks(lambdas) @ r.T
+
+
+STRUCTURED_INPUTS = {
+    "all-zero": np.zeros((6, 6)),
+    # the Hessenberg form splits at the exact zero blocks
+    "exact-zero-blocks": block_diag(
+        random_antisymmetric(4, np.random.default_rng(8)),
+        np.zeros((2, 2)),
+        0.4 * J2,
+        np.zeros((2, 2)),
+    ),
+    "repeated-lambdas": _haar_rotated([1.0, 1.0, 1.0, 0.5, 0.5, 0.0], 5),
+    "rank-deficient": diagonal_fcm([0.9, 0.0, 0.3, 0.0]).matrix,
+    # a negative block and ascending order: rows must be swapped and reordered
+    "canonical-needs-swap": lambda_blocks([0.3, -0.9, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED_INPUTS))
+def test_williamson_structured_inputs(name):
+    mat = STRUCTURED_INPUTS[name]
+    form = williamson_form(mat)
+    assert reconstruction_error(mat, form) <= 1e-12
+    assert is_orthogonal(form.orthogonal, 1e-12)
+    assert np.all(np.diff(form.lambdas) <= 0.0)
+    assert not np.any(np.signbit(form.lambdas))
+    expected = np.linalg.svd(mat, compute_uv=False)[::2]
+    assert np.max(np.abs(form.lambdas - expected)) <= 1e-12
+
+
+def test_williamson_kitaev_coupling_matches_eigensolver_oracle():
+    coupling = hamiltonian_to_majorana(kitaev_hamiltonian(64, mu=2.0, t=1.0, delta=1.0)).coupling
+    form = williamson_form(coupling)
+    oracle = np.sqrt(np.clip(np.linalg.eigvalsh(-coupling @ coupling), 0.0, None))[::-2]
+    assert np.max(np.abs(form.lambdas - oracle)) < 1e-10
+    assert reconstruction_error(coupling, form) < 1e-9
+    assert is_orthogonal(form.orthogonal, 1e-10)
+
+
 def test_williamson_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         williamson_form(np.zeros((3, 3)))
@@ -116,18 +162,3 @@ def test_is_orthogonal():
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     assert is_orthogonal(q, 1e-10)
     assert not is_orthogonal(np.ones((2, 3)), 1e-10)
-
-
-def test_is_orthogonal_symplectic():
-    assert is_orthogonal_symplectic(np.eye(4), 1e-10)
-    assert is_orthogonal_symplectic(j_blocks(2), 1e-10)
-    phi = 0.37
-    rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-    planar = np.eye(4)
-    planar[:2, :2] = rot
-    assert is_orthogonal_symplectic(planar, 1e-10)
-    # swapping only the first quadratures of the two modes breaks J-covariance
-    swap = np.eye(4)[[2, 1, 0, 3]]
-    assert not is_orthogonal_symplectic(swap, 1e-10)
-    with pytest.raises(InvalidInputError):
-        is_orthogonal_symplectic(np.eye(3), 1e-10)

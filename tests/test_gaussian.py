@@ -32,6 +32,30 @@ def test_majorana_form_single_mode():
     assert maj.offset == pytest.approx(1.7 / 2)
 
 
+def _majorana_by_mode_products(ham):
+    """The quadrature form from dense b / b^dag coefficient products."""
+    n = ham.n_modes
+    # row i holds the quadrature coefficients of b_i = (g_2i - i g_2i+1) / 2
+    ann = np.zeros((n, 2 * n), dtype=complex)
+    ann[np.arange(n), 2 * np.arange(n)] = 0.5
+    ann[np.arange(n), 2 * np.arange(n) + 1] = -0.5j
+    cre = ann.conj()
+    quad = cre.T @ ham.hopping @ ann + cre.T @ ham.pairing @ cre - ann.T @ ham.pairing.conj() @ ann
+    return 2.0 * (quad - quad.T).imag, float(np.trace(quad).real)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_majorana_form_matches_mode_products(n):
+    rng = np.random.default_rng(40 + n)
+    hams = [random_quadratic_hamiltonian(n, rng) for _ in range(3)]
+    hams += [kitaev_hamiltonian(n, mu, 1.0, 0.7) for mu in (0.5, 2.0)]
+    for ham in hams:
+        maj = hamiltonian_to_majorana(ham)
+        coupling, offset = _majorana_by_mode_products(ham)
+        assert np.max(np.abs(maj.coupling - coupling)) <= 1e-15
+        assert abs(maj.offset - offset) <= 1e-15
+
+
 def test_majorana_form_zero_hamiltonian():
     maj = hamiltonian_to_majorana(QuadraticHamiltonian(np.zeros((2, 2)), np.zeros((2, 2))))
     assert np.allclose(maj.coupling, 0.0)
