@@ -17,7 +17,6 @@ from .canonical import (
     williamson_form,
 )
 from .decompose import (
-    DecompositionTolerances,
     EntangledPair,
     ModewiseDecomposition,
     ResidualMode,
@@ -82,7 +81,6 @@ __all__ = [
     "j_blocks",
     "lambda_blocks",
     "williamson_form",
-    "DecompositionTolerances",
     "EntangledPair",
     "ModewiseDecomposition",
     "ResidualMode",

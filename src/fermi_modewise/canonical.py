@@ -21,6 +21,9 @@ from .errors import InvalidInputError
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
+# Largest max|M + M^T| that antisymmetrize accepts.
+_ANTISYMMETRY_TOL = 1e-12
+
 # LAPACK Hessenberg reduction, called directly: on the small blocks of the
 # dense oracle the argument checks of scipy.linalg.hessenberg take longer than
 # the reduction itself.
@@ -40,11 +43,11 @@ def lambda_blocks(lambdas: np.ndarray) -> np.ndarray:
     return np.kron(np.diag(lambdas), J2)
 
 
-def antisymmetrize(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def antisymmetrize(mat: np.ndarray) -> np.ndarray:
     """Validate and return the antisymmetric part of a square matrix.
 
     Entries must be finite, and the deviation ``max|mat + mat^T|`` must not
-    exceed ``tol``; larger violations indicate the caller did not pass an
+    exceed 1e-12; larger violations indicate the caller did not pass an
     antisymmetric matrix.
     """
     mat = np.asarray(mat, dtype=float)
@@ -53,9 +56,10 @@ def antisymmetrize(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise InvalidInputError("matrix has non-finite entries")
     deviation = np.max(np.abs(mat + mat.T)) if mat.size else 0.0
-    if deviation > tol:
+    if deviation > _ANTISYMMETRY_TOL:
         raise InvalidInputError(
-            f"matrix is not antisymmetric: max|M + M^T| = {deviation:.3e} > {tol:.3e}"
+            f"matrix is not antisymmetric: max|M + M^T| = {deviation:.3e} > "
+            f"{_ANTISYMMETRY_TOL:.3e}"
         )
     return 0.5 * (mat - mat.T)
 
@@ -80,7 +84,7 @@ class WilliamsonForm:
         return lambda_blocks(self.lambdas)
 
 
-def williamson_form(mat: np.ndarray, sym_tol: float = 1e-12) -> WilliamsonForm:
+def williamson_form(mat: np.ndarray) -> WilliamsonForm:
     """Compute the antisymmetric canonical form by the skew route of Ward & Gray.
 
     An orthogonal Hessenberg reduction Q^T M Q of an antisymmetric matrix is
@@ -93,7 +97,7 @@ def williamson_form(mat: np.ndarray, sym_tol: float = 1e-12) -> WilliamsonForm:
 
     Deterministic for fixed input; the l_i come in descending order.
     """
-    m = antisymmetrize(mat, sym_tol)
+    m = antisymmetrize(mat)
     dim = m.shape[0]
     if dim % 2:
         raise InvalidInputError(f"dimension must be even, got {dim}")

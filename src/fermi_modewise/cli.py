@@ -8,6 +8,8 @@ input, failed verification, failed self-checks).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 
@@ -40,19 +42,10 @@ class _CliParser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def _write(path: str | None, writer):
-    stream, owned = _open_out(path)
-    try:
+    stdout = path is None or path == "-"
+    with contextlib.nullcontext(sys.stdout) if stdout else open(path, "w") as stream:
         writer(stream)
-    finally:
-        if owned:
-            stream.close()
 
 
 def _read_fcm(path: str):
@@ -82,11 +75,7 @@ def _model_spec_from_args(args) -> ModelSpec:
         params["thetas"] = serialize.parse_float_list(args.thetas)
     if args.lambdas is not None:
         params["lambdas"] = serialize.parse_float_list(args.lambdas)
-    for name in ("n", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    for name in ("mu", "t", "delta", "lambda0"):
+    for name in ("n", "seed", "mu", "t", "delta", "lambda0"):
         value = getattr(args, name)
         if value is not None:
             params[name] = value
@@ -191,7 +180,7 @@ def _cmd_entropy(args) -> int:
         raise InvalidInputError("entanglement of modes is defined here for pure states only")
     report = pure_mode_entanglement(modewise_decompose(state, partition))
     if args.json:
-        print(json.dumps(serialize.report_to_dict(report), indent=1))
+        print(json.dumps(dataclasses.asdict(report), indent=1))
     else:
         print(repr(report.total_modes_entropy))
     return 0

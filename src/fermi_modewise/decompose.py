@@ -30,6 +30,7 @@ import numpy as np
 from .canonical import lambda_blocks, williamson_form
 from .errors import InvalidInputError, NotIsotropicError, NumericalConsistencyError
 from .gaussian import (
+    ISOTROPY_TOL,
     Bipartition,
     CovarianceMatrix,
     isotropy_deviation,
@@ -38,23 +39,13 @@ from .gaussian import (
 )
 
 
-@dataclass(frozen=True)
-class DecompositionTolerances:
-    """Numerical thresholds of the decomposition.
-
-    iso    isotropy check on M^2
-    deg    width, relative to lambda0, below which a local eigenvalue counts
-           as zero (such modes carry no orientation of their own)
-    cross  largest part of a rotated 2x2 cross block that may commute with J2
-    pair   smallest kappa treated as a genuine pair
-    """
-
-    iso: float = 1e-8
-    deg: float = 1e-8
-    cross: float = 1e-7
-    pair: float = 1e-8
-
-
+# Width, relative to lambda0, below which a local eigenvalue counts as zero:
+# such modes carry no orientation of their own.
+_ZERO_LAMBDA_TOL = 1e-8
+# Largest part of a rotated 2x2 cross block that may commute with J2.
+_COMMUTING_TOL = 1e-7
+# Smallest kappa treated as a genuine pair.
+_PAIR_TOL = 1e-8
 # Largest |lambda0 - 1| of a decomposition that counts as pure.
 _PURITY_TOL = 1e-9
 
@@ -118,11 +109,7 @@ def _complex_to_real(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def modewise_decompose(
-    state: CovarianceMatrix,
-    partition: Bipartition,
-    tol: DecompositionTolerances = DecompositionTolerances(),
-) -> ModewiseDecomposition:
+def modewise_decompose(state: CovarianceMatrix, partition: Bipartition) -> ModewiseDecomposition:
     """Decompose an isotropic covariance matrix across a bipartition.
 
     Both local blocks are brought to Williamson form.  Isotropy
@@ -133,18 +120,19 @@ def modewise_decompose(
     of these numbers, applied as unitary (hence J2-commuting) local rotations,
     leaves K' = diag(kappa_k beta).
 
-    Raises NotIsotropicError when M^2 is not proportional to the identity, and
-    NumericalConsistencyError when a block of K' keeps a part commuting with
-    J2 beyond ``tol.cross``, which signals inconsistent input rather than a
-    representation choice.
+    Local eigenvalues up to 1e-8 lambda0 count as zero, and couplings kappa up
+    to 1e-8 are dropped.  Raises NotIsotropicError when max|M^2 + lambda0^2|
+    exceeds 1e-8, and NumericalConsistencyError when a block of K' keeps a
+    part commuting with J2 beyond 1e-7, which signals inconsistent input
+    rather than a representation choice.
     """
     if partition.n_modes != state.n_modes:
         raise InvalidInputError(
             f"partition covers {partition.n_modes} modes but the state has {state.n_modes}"
         )
-    lambda0 = isotropy_parameter(state, tol.iso)
+    lambda0 = isotropy_parameter(state)
     if lambda0 is None:
-        raise NotIsotropicError(isotropy_deviation(state), tol.iso)
+        raise NotIsotropicError(isotropy_deviation(state), ISOTROPY_TOL)
 
     n_a, n_b = len(partition.a_modes), len(partition.b_modes)
     rows_a = quadrature_indices(partition.a_modes)
@@ -158,8 +146,8 @@ def modewise_decompose(
     # Modes with lambda ~ 0 (the trailing rows) carry no orientation: pair
     # them by a real SVD, swapping the quadratures of each B mode so that
     # every pair reads s * beta.
-    zero_a = 2 * int(np.sum(form_a.lambdas > tol.deg * lambda0))
-    zero_b = 2 * int(np.sum(form_b.lambdas > tol.deg * lambda0))
+    zero_a = 2 * int(np.sum(form_a.lambdas > _ZERO_LAMBDA_TOL * lambda0))
+    zero_b = 2 * int(np.sum(form_b.lambdas > _ZERO_LAMBDA_TOL * lambda0))
     if zero_a < 2 * n_a and zero_b < 2 * n_b:
         u, _, vt = np.linalg.svd(rotated[zero_a:, zero_b:])
         rot_a[zero_a:] = u.T @ rot_a[zero_a:]
@@ -169,10 +157,10 @@ def modewise_decompose(
     a, b = rotated[0::2, 0::2], rotated[0::2, 1::2]
     c, d = rotated[1::2, 0::2], rotated[1::2, 1::2]
     worst = float(np.max(0.5 * np.hypot(a + d, b - c), initial=0.0))
-    if worst > tol.cross:
+    if worst > _COMMUTING_TOL:
         raise NumericalConsistencyError(
             f"cross-correlations keep a part commuting with J2 of {worst:.3e} > "
-            f"{tol.cross:.3e}; the input is not isotropic to working precision"
+            f"{_COMMUTING_TOL:.3e}; the input is not isotropic to working precision"
         )
 
     # Blocks [[p, q], [q, -p]] as p + iq; rotating A by i P^H and B by Q^T
@@ -181,7 +169,7 @@ def modewise_decompose(
     unitary_a, unitary_b = 1j * p_mat.conj().T, qh_mat.conj()
     lams_a = np.abs(unitary_a) ** 2 @ form_a.lambdas
     lams_b = np.abs(unitary_b) ** 2 @ form_b.lambdas
-    n_pairs = int(np.sum(kappas > tol.pair))
+    n_pairs = int(np.sum(kappas > _PAIR_TOL))
 
     pairs = [
         EntangledPair(float(lams_a[k]), float(kappas[k]),

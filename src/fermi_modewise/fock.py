@@ -33,6 +33,8 @@ from .gaussian import (
 
 DEFAULT_MODE_CAP = 12
 MODE_CAP_ENV = "FERMI_MODEWISE_MAX_MODES"
+# Smallest spectral gap of a dense ground state that counts as nondegenerate.
+_GAP_TOL = 1e-10
 
 
 def mode_cap() -> int:
@@ -159,13 +161,12 @@ def dense_hamiltonian(ham: QuadraticHamiltonian) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
-def dense_ground_state(ham: QuadraticHamiltonian, gap_tol: float = 1e-10):
+def dense_ground_state(ham: QuadraticHamiltonian):
     """Lowest eigenvector of the dense Hamiltonian.
 
     Returns ``(state, energy, degenerate)``.  The global phase is fixed by
     making the largest-magnitude amplitude (first such index on ties) real
-    and positive; ``degenerate`` is set when the spectral gap is below
-    ``gap_tol``.
+    and positive; ``degenerate`` is set when the spectral gap is below 1e-10.
     """
     h = dense_hamiltonian(ham)
     energies, vectors = np.linalg.eigh(h)
@@ -174,7 +175,7 @@ def dense_ground_state(ham: QuadraticHamiltonian, gap_tol: float = 1e-10):
     phase = vec[pivot] / abs(vec[pivot])
     vec = vec / phase
     vec = vec / np.linalg.norm(vec)
-    degenerate = bool(energies.size > 1 and energies[1] - energies[0] < gap_tol)
+    degenerate = bool(energies.size > 1 and energies[1] - energies[0] < _GAP_TOL)
     return FockState(ham.n_modes, vec), float(energies[0]), degenerate
 
 

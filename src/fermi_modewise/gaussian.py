@@ -17,6 +17,10 @@ from .canonical import antisymmetrize, j_blocks, lambda_blocks, williamson_form
 from .errors import InvalidInputError
 
 PHYSICALITY_TOL = 1e-9
+# Largest max|M^2 + l0^2| of an isotropic state; absolute, not relative to l0^2.
+ISOTROPY_TOL = 1e-8
+# Largest single-particle energy that flags a degenerate ground state.
+_DEGENERACY_TOL = 1e-8
 
 
 @dataclass
@@ -50,14 +54,6 @@ class CovarianceMatrix:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def williamson_eigenvalues(self) -> np.ndarray:
-        """Williamson eigenvalues in descending order."""
-        return williamson_form(self.matrix).lambdas
 
 
 @dataclass
@@ -176,13 +172,13 @@ class GroundStateFCM:
     degenerate: bool = field(default=False)
 
 
-def ground_state_fcm(ham: QuadraticHamiltonian, degeneracy_tol: float = 1e-8) -> GroundStateFCM:
+def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundStateFCM:
     """Ground-state covariance matrix of a quadratic Hamiltonian.
 
     With O h O^T = diag(e_k J2), e_k >= 0, the minimizing pure state is the
     vacuum of the transformed modes: M = O^T diag(J2) O, with ground energy
-    offset - sum(e_k) / 2.  Any e_k <= ``degeneracy_tol`` flags a (nearly)
-    degenerate ground manifold; the returned M is still deterministic.
+    offset - sum(e_k) / 2.  Any e_k <= 1e-8 flags a (nearly) degenerate
+    ground manifold; the returned M is still deterministic.
     """
     maj = hamiltonian_to_majorana(ham)
     form = williamson_form(maj.coupling)
@@ -190,7 +186,7 @@ def ground_state_fcm(ham: QuadraticHamiltonian, degeneracy_tol: float = 1e-8) ->
     x = form.orthogonal[0::2].T @ form.orthogonal[1::2]
     fcm = CovarianceMatrix(x.T - x)
     energy = maj.offset - 0.5 * float(np.sum(form.lambdas))
-    degenerate = bool(np.any(form.lambdas <= degeneracy_tol))
+    degenerate = bool(np.any(form.lambdas <= _DEGENERACY_TOL))
     return GroundStateFCM(fcm, energy, degenerate)
 
 
@@ -210,10 +206,10 @@ def _isotropy_fit(state: CovarianceMatrix) -> tuple[float, float]:
     return lam0_sq, float(np.max(np.abs(msq + lam0_sq * np.eye(m.shape[0]))))
 
 
-def isotropy_parameter(state: CovarianceMatrix, tol: float = 1e-8):
-    """Return l0 >= 0 with M^2 = -l0^2 within ``tol``, or None if not isotropic."""
+def isotropy_parameter(state: CovarianceMatrix):
+    """Return l0 >= 0 with M^2 = -l0^2 within 1e-8, or None if not isotropic."""
     lam0_sq, deviation = _isotropy_fit(state)
-    if deviation > tol:
+    if deviation > ISOTROPY_TOL:
         return None
     return abs(float(np.sqrt(max(lam0_sq, 0.0))))
 

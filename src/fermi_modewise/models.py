@@ -77,42 +77,60 @@ def kitaev_hamiltonian(n_sites: int, mu: float, t: float, delta: float) -> Quadr
     return QuadraticHamiltonian(hopping, pairing)
 
 
-def _require(parameters: dict, name: str):
-    if name not in parameters:
-        raise InvalidInputError(f"missing model parameter {name!r}")
-    return parameters[name]
-
-
-def _require_int(parameters: dict, name: str, minimum: int = 1) -> int:
-    value = _require(parameters, name)
-    try:
-        value = int(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"parameter {name!r} must be an integer, got {value!r}") from exc
+def _integer(value, minimum: int = 1) -> int:
+    """``value`` as an int >= ``minimum``; a float must be integral, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    value = int(value)
     if value < minimum:
-        raise InvalidInputError(f"parameter {name!r} must be >= {minimum}, got {value}")
+        raise ValueError(f"expected an integer >= {minimum}, got {value}")
     return value
+
+
+def _float_list(value) -> np.ndarray:
+    values = np.asarray(value, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return values
+
+
+def _seed(value):
+    return None if value is None else _integer(value, 0)
+
+
+def _read(parameters: dict, name: str, convert, required: bool = True):
+    """Model parameter ``name`` passed through ``convert``; None if optional and absent."""
+    if name not in parameters:
+        if required:
+            raise InvalidInputError(f"missing model parameter {name!r}")
+        return None
+    try:
+        return convert(parameters[name])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"model parameter {name!r}: {exc}") from exc
 
 
 def generate_model(spec: ModelSpec) -> GeneratedModel:
     """Build the covariance matrix (and Hamiltonian where defined) of a model."""
     p = spec.parameters
     if spec.kind == "bcs":
-        return GeneratedModel(bcs_fcm(_require(p, "thetas")))
+        return GeneratedModel(bcs_fcm(_read(p, "thetas", _float_list)))
     if spec.kind == "kitaev":
         ham = kitaev_hamiltonian(
-            _require_int(p, "n"),
-            float(_require(p, "mu")),
-            float(_require(p, "t")),
-            float(_require(p, "delta")),
+            _read(p, "n", _integer),
+            _read(p, "mu", float),
+            _read(p, "t", float),
+            _read(p, "delta", float),
         )
         ground = ground_state_fcm(ham)
         return GeneratedModel(ground.fcm, ham, ground.energy, ground.degenerate)
     if spec.kind == "random-pure":
-        return GeneratedModel(random_pure_fcm(_require_int(p, "n"), p.get("seed")))
+        seed = _read(p, "seed", _seed, required=False)
+        return GeneratedModel(random_pure_fcm(_read(p, "n", _integer), seed))
     if spec.kind == "random-isotropic":
-        lambda0 = float(_require(p, "lambda0"))
-        return GeneratedModel(isotropic_fcm(_require_int(p, "n"), lambda0, p.get("seed")))
+        lambda0 = _read(p, "lambda0", float)
+        seed = _read(p, "seed", _seed, required=False)
+        return GeneratedModel(isotropic_fcm(_read(p, "n", _integer), lambda0, seed))
     if spec.kind == "diagonal":
-        return GeneratedModel(diagonal_fcm(_require(p, "lambdas")))
+        return GeneratedModel(diagonal_fcm(_read(p, "lambdas", _float_list)))
     raise InvalidInputError(f"unknown model kind {spec.kind!r}")

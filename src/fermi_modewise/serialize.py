@@ -14,7 +14,6 @@ from typing import TextIO
 import numpy as np
 
 from .decompose import ModewiseDecomposition
-from .entanglement import EntanglementReport
 from .errors import InvalidInputError
 from .gaussian import Bipartition, CovarianceMatrix
 
@@ -26,8 +25,11 @@ def fcm_to_dict(state: CovarianceMatrix) -> dict:
 def fcm_from_dict(data: dict) -> CovarianceMatrix:
     if not isinstance(data, dict) or "n_modes" not in data or "matrix" not in data:
         raise InvalidInputError('covariance JSON needs keys "n_modes" and "matrix"')
-    matrix = np.asarray(data["matrix"], dtype=float)
-    n = int(data["n_modes"])
+    try:
+        matrix = np.asarray(data["matrix"], dtype=float)
+        n = int(data["n_modes"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed covariance JSON: {exc}") from exc
     if matrix.shape != (2 * n, 2 * n):
         raise InvalidInputError(
             f"matrix shape {matrix.shape} does not match n_modes = {n}"
@@ -74,17 +76,9 @@ def parse_partition(text: str, n_modes: int) -> Bipartition:
     return Bipartition(parse_side(parts[0]), parse_side(parts[1]))
 
 
-def format_partition(partition: Bipartition) -> str:
-    a = ",".join(str(i + 1) for i in partition.a_modes)
-    b = ",".join(str(i + 1) for i in partition.b_modes)
-    return f"{a};{b}"
-
-
-def decomposition_to_dict(
-    decomp: ModewiseDecomposition, residual: float | None = None
-) -> dict:
+def decomposition_to_dict(decomp: ModewiseDecomposition, residual: float) -> dict:
     """JSON form of a decomposition; transformed-mode indices are 1-based."""
-    data = {
+    return {
         "n_modes": decomp.n_modes,
         "lambda0": decomp.lambda0,
         "partition": {
@@ -105,19 +99,7 @@ def decomposition_to_dict(
         "residual_b": [{"mode": r.mode + 1, "lambda": r.lam} for r in decomp.residual_b],
         "transform_a": decomp.transform_a.tolist(),
         "transform_b": decomp.transform_b.tolist(),
-    }
-    if residual is not None:
-        data["reconstruction_residual"] = residual
-    return data
-
-
-def report_to_dict(report: EntanglementReport) -> dict:
-    return {
-        "pair_entropies": list(report.pair_entropies),
-        "total_modes_entropy": report.total_modes_entropy,
-        "pair_npt_flags": list(report.pair_npt_flags),
-        "separable": report.separable,
-        "negativity_sum": report.negativity_sum,
+        "reconstruction_residual": residual,
     }
 
 

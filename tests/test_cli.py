@@ -6,12 +6,7 @@ import pytest
 from fermi_modewise import cli, diagonal_fcm, isotropic_fcm
 from fermi_modewise.cli import cli_main
 from fermi_modewise.models import generate_model
-from fermi_modewise.serialize import (
-    fcm_from_dict,
-    fcm_to_dict,
-    format_partition,
-    parse_partition,
-)
+from fermi_modewise.serialize import fcm_from_dict, fcm_to_dict, parse_partition
 
 
 def run(capsys, *argv):
@@ -32,7 +27,6 @@ def test_partition_parsing_roundtrip():
     part = parse_partition("1,3;2,4", 4)
     assert part.a_modes == (0, 2)
     assert part.b_modes == (1, 3)
-    assert format_partition(part) == "1,3;2,4"
     with pytest.raises(Exception):
         parse_partition("1;2;3", 3)
 
@@ -139,10 +133,23 @@ def test_cli_exit_codes(capsys, tmp_path):
         ["verify", "--max-modes", "1", "--trials", "1"],
         ["verify", "--trials", "0"],
         ["ppt", "--lambda0", "0.5", "--kappas", "nan"],
+        ["decompose", "--input", "n_modes_text.json", "--partition", "1;2"],
+        ["decompose", "--input", "ragged.json", "--partition", "1;2"],
+        ["decompose", "--input", "matrix_text.json", "--partition", "1;2"],
+        ["generate", "--spec", "mu_text_spec.json"],
+        ["generate", "--spec", "thetas_number_spec.json"],
+        ["generate", "--spec", "lambdas_text_spec.json"],
+        ["generate", "--spec", "seed_text_spec.json"],
+        ["generate", "--kind", "random-pure", "--n", "3", "--seed", "-1"],
+        ["sweep", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
+         "--param", "n", "--values", "2.5", "--cut", "1"],
     ],
     ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec",
          "spec-not-object", "spec-parameters-not-object", "verify-one-mode",
-         "verify-no-trials", "nan-kappa"],
+         "verify-no-trials", "nan-kappa", "n-modes-not-a-number", "ragged-matrix",
+         "matrix-not-a-list", "spec-mu-not-a-number", "spec-thetas-not-a-list",
+         "spec-lambdas-not-numbers", "spec-seed-not-a-number", "negative-seed",
+         "sweep-fractional-mode-count"],
 )
 def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, argv):
     data = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
@@ -151,6 +158,19 @@ def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, 
     (tmp_path / "bad_spec.json").write_text('{"kind": ')
     (tmp_path / "number_spec.json").write_text("5")
     (tmp_path / "number_parameters_spec.json").write_text('{"kind": "bcs", "parameters": 5}')
+    two_modes = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
+    for name, key, value in [("n_modes_text", "n_modes", "abc"),
+                             ("ragged", "matrix", [[0.0, 1.0], [-1.0]]),
+                             ("matrix_text", "matrix", "xy")]:
+        (tmp_path / f"{name}.json").write_text(json.dumps({**two_modes, key: value}))
+    for name, kind, parameters in [
+        ("mu_text", "kitaev", {"n": 4, "mu": "x", "t": 1, "delta": 1}),
+        ("thetas_number", "bcs", {"thetas": 5}),
+        ("lambdas_text", "diagonal", {"lambdas": "ab"}),
+        ("seed_text", "random-pure", {"n": 3, "seed": "abc"}),
+    ]:
+        spec = {"kind": kind, "parameters": parameters}
+        (tmp_path / f"{name}_spec.json").write_text(json.dumps(spec))
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 1

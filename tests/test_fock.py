@@ -197,6 +197,16 @@ def test_reconstruct_vacuum_identity():
     assert fidelity == pytest.approx(1.0, abs=1e-10)
 
 
+def test_reconstruct_rebuilds_the_state_from_probes_when_the_reference_misses_it():
+    # |011> is orthogonal to the decomposed vacuum, so the fidelity is 0 and the
+    # vacuum of the transformed modes comes from seeded probes instead.
+    vacuum = FockState.from_occupations([0, 0, 0])
+    decomp = modewise_decompose(fcm_from_state(vacuum), Bipartition((0,), (1, 2)))
+    rebuilt, fidelity = reconstruct_state(decomp, FockState.from_occupations([0, 1, 1]))
+    assert fidelity == 0.0
+    assert abs(np.vdot(vacuum.amplitudes, rebuilt.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_reconstruct_single_pure_block():
     theta = 0.9 * np.pi / 4
     state = squeezed_pair(theta)

@@ -20,6 +20,7 @@ from fermi_modewise import (
     pair_block,
     random_pure_fcm,
     restrict,
+    williamson_form,
 )
 from fermi_modewise.fock import _hamiltonian_from_majorana_form
 from fermi_modewise.verify import random_quadratic_hamiltonian
@@ -146,7 +147,7 @@ def test_restrict_spectra_match_oracle_reduced_density():
     rng = np.random.default_rng(17)
     state, fcm = random_gaussian_state(4, rng)
     for modes in [(0, 1), (1, 3), (0, 2)]:
-        lambdas = restrict(fcm, modes).williamson_eigenvalues()
+        lambdas = williamson_form(restrict(fcm, modes).matrix).lambdas
         expected = sorted(
             float(np.prod([(1 + s * l) / 2 for s, l in zip(signs, lambdas)]))
             for signs in product((1, -1), repeat=len(lambdas))
@@ -170,7 +171,7 @@ def test_random_pure_fcm_determinism_and_physicality():
     for seed in range(100):
         state = random_pure_fcm(4, seed)
         assert is_pure(state, 1e-9)
-        lambdas = restrict(state, [0, 2]).williamson_eigenvalues()
+        lambdas = williamson_form(restrict(state, [0, 2]).matrix).lambdas
         assert np.all(lambdas >= -1e-12) and np.all(lambdas <= 1 + 1e-9)
 
 
@@ -179,7 +180,7 @@ def test_isotropic_fcm():
     assert np.allclose(isotropic_fcm(3, 0.0, 5).matrix, 0.0)
     state = isotropic_fcm(3, 0.7, 5)
     assert np.max(np.abs(state.matrix @ state.matrix + 0.49 * np.eye(6))) < 1e-10
-    assert np.max(np.abs(state.williamson_eigenvalues() - 0.7)) < 1e-10
+    assert np.max(np.abs(williamson_form(state.matrix).lambdas - 0.7)) < 1e-10
     with pytest.raises(InvalidInputError):
         isotropic_fcm(3, 1.5, 5)
 
@@ -190,8 +191,8 @@ def test_pure_states_pair_local_spectra():
     rng = np.random.default_rng(31)
     _, fcm = random_gaussian_state(6, rng)
     part = Bipartition((0, 2, 5), (1, 3, 4))
-    lam_a = restrict(fcm, part.a_modes).williamson_eigenvalues()
-    lam_b = restrict(fcm, part.b_modes).williamson_eigenvalues()
+    lam_a = williamson_form(restrict(fcm, part.a_modes).matrix).lambdas
+    lam_b = williamson_form(restrict(fcm, part.b_modes).matrix).lambdas
     below_a = np.sort(lam_a[lam_a < 1 - 1e-8])
     below_b = np.sort(lam_b[lam_b < 1 - 1e-8])
     assert below_a.shape == below_b.shape
