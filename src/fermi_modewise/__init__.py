@@ -69,7 +69,7 @@ from .gaussian import (
     random_pure_fcm,
     restrict,
 )
-from .models import GeneratedModel, ModelSpec, bcs_fcm, generate_model, kitaev_hamiltonian
+from .models import bcs_fcm, generate_model, kitaev_hamiltonian
 
 __version__ = "0.1.0"
 
@@ -124,8 +124,6 @@ __all__ = [
     "quadrature_indices",
     "random_pure_fcm",
     "restrict",
-    "GeneratedModel",
-    "ModelSpec",
     "bcs_fcm",
     "generate_model",
     "kitaev_hamiltonian",

@@ -30,7 +30,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .gaussian import Bipartition, CovarianceMatrix, is_pure
-from .models import MODEL_KINDS, ModelSpec, generate_model
+from .models import MODEL_KINDS, generate_model
 from .verify import run_all
 
 RECONSTRUCTION_TOL = 1e-8
@@ -55,7 +55,7 @@ def _read_fcm(path: str):
         return serialize.read_fcm(stream)
 
 
-def _model_spec_from_args(args) -> ModelSpec:
+def _model_spec_from_args(args) -> tuple[str, dict]:
     if args.spec is not None:
         with open(args.spec) as stream:
             try:
@@ -67,7 +67,7 @@ def _model_spec_from_args(args) -> ModelSpec:
             raise InvalidInputError(
                 'model spec JSON needs an object with keys "kind" and "parameters" (an object)'
             )
-        return ModelSpec(data["kind"], dict(data["parameters"]))
+        return data["kind"], data["parameters"]
     if args.kind is None:
         raise InvalidInputError("either --kind or --spec is required")
     params: dict = {}
@@ -79,7 +79,7 @@ def _model_spec_from_args(args) -> ModelSpec:
         value = getattr(args, name)
         if value is not None:
             params[name] = value
-    return ModelSpec(args.kind, params)
+    return args.kind, params
 
 
 def _add_model_flags(parser):
@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    model = generate_model(_model_spec_from_args(args))
-    _write(args.out, lambda s: serialize.write_fcm(model.fcm, s))
+    state = generate_model(*_model_spec_from_args(args))
+    _write(args.out, lambda s: serialize.write_fcm(state, s))
     return 0
 
 
@@ -237,10 +237,10 @@ def _sweep_row(state: CovarianceMatrix, cut: int, value: float) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    base = _model_spec_from_args(args)
+    kind, parameters = _model_spec_from_args(args)
     rows = []
     if args.scan_cut:
-        state = generate_model(base).fcm
+        state = generate_model(kind, parameters)
         for cut in range(1, state.n_modes):
             rows.append(_sweep_row(state, cut, float(cut)))
     else:
@@ -249,9 +249,7 @@ def _cmd_sweep(args) -> int:
         if args.cut is None:
             raise InvalidInputError("parameter sweeps need a fixed --cut")
         for value in _sweep_values(args):
-            params = dict(base.parameters)
-            params[args.param] = value
-            state = generate_model(ModelSpec(base.kind, params)).fcm
+            state = generate_model(kind, {**parameters, args.param: value})
             rows.append(_sweep_row(state, args.cut, value))
     _write(args.out, lambda s: serialize.write_sweep_csv(rows, s))
     return 0

@@ -267,6 +267,8 @@ def diagonal_fcm(lambdas) -> CovarianceMatrix:
     Covers product mixed states, e.g. thermal occupations l_i = tanh(beta e_i / 2).
     """
     lambdas = np.asarray(list(lambdas), dtype=float)
+    if lambdas.size == 0:
+        raise InvalidInputError("lambdas must contain at least one eigenvalue")
     if np.any(lambdas < 0.0) or np.any(lambdas > 1.0 + PHYSICALITY_TOL):
         raise InvalidInputError(f"per-mode eigenvalues must lie in [0, 1], got {lambdas.tolist()}")
     return CovarianceMatrix(lambda_blocks(lambdas))

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .decompose import pair_block
@@ -17,32 +14,6 @@ from .gaussian import (
     isotropic_fcm,
     random_pure_fcm,
 )
-
-MODEL_KINDS = ("bcs", "kitaev", "random-pure", "random-isotropic", "diagonal")
-
-
-@dataclass
-class ModelSpec:
-    """Named state/Hamiltonian family plus its parameter map."""
-
-    kind: str
-    parameters: dict
-
-    def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise InvalidInputError(
-                f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}"
-            )
-
-
-@dataclass
-class GeneratedModel:
-    """Output of a model generator: the state, and the Hamiltonian when one exists."""
-
-    fcm: CovarianceMatrix
-    hamiltonian: Optional[QuadraticHamiltonian] = None
-    energy: Optional[float] = None
-    degenerate: bool = False
 
 
 def bcs_fcm(thetas) -> CovarianceMatrix:
@@ -98,39 +69,43 @@ def _seed(value):
     return None if value is None else _integer(value, 0)
 
 
-def _read(parameters: dict, name: str, convert, required: bool = True):
-    """Model parameter ``name`` passed through ``convert``; None if optional and absent."""
-    if name not in parameters:
-        if required:
+def _kitaev_fcm(n: int, mu: float, t: float, delta: float) -> CovarianceMatrix:
+    return ground_state_fcm(kitaev_hamiltonian(n, mu, t, delta)).fcm
+
+
+# kind -> (builder, {parameter: converter}) with the parameters in the
+# builder's argument order; "seed" is the only optional one
+_MODELS = {
+    "bcs": (bcs_fcm, {"thetas": _float_list}),
+    "kitaev": (_kitaev_fcm, {"n": _integer, "mu": float, "t": float, "delta": float}),
+    "random-pure": (random_pure_fcm, {"n": _integer, "seed": _seed}),
+    "random-isotropic": (isotropic_fcm, {"n": _integer, "lambda0": float, "seed": _seed}),
+    "diagonal": (diagonal_fcm, {"lambdas": _float_list}),
+}
+MODEL_KINDS = tuple(_MODELS)
+
+
+def generate_model(kind: str, parameters: dict) -> CovarianceMatrix:
+    """Covariance matrix of the model ``kind`` built from ``parameters``.
+
+    Each kind takes the parameters of its ``_MODELS`` entry; ``seed`` may be
+    left out (a fresh random state).  An unknown kind, a missing or unknown
+    parameter, or a value its converter rejects raises InvalidInputError.
+    """
+    if kind not in MODEL_KINDS:  # a tuple, so an unhashable kind from JSON is refused too
+        raise InvalidInputError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    builder, converters = _MODELS[kind]
+    for name in parameters:
+        if name not in converters:
+            raise InvalidInputError(
+                f"model kind {kind!r} takes no parameter {name!r}; it takes {', '.join(converters)}"
+            )
+    args = []
+    for name, convert in converters.items():
+        if name not in parameters and name != "seed":
             raise InvalidInputError(f"missing model parameter {name!r}")
-        return None
-    try:
-        return convert(parameters[name])
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"model parameter {name!r}: {exc}") from exc
-
-
-def generate_model(spec: ModelSpec) -> GeneratedModel:
-    """Build the covariance matrix (and Hamiltonian where defined) of a model."""
-    p = spec.parameters
-    if spec.kind == "bcs":
-        return GeneratedModel(bcs_fcm(_read(p, "thetas", _float_list)))
-    if spec.kind == "kitaev":
-        ham = kitaev_hamiltonian(
-            _read(p, "n", _integer),
-            _read(p, "mu", float),
-            _read(p, "t", float),
-            _read(p, "delta", float),
-        )
-        ground = ground_state_fcm(ham)
-        return GeneratedModel(ground.fcm, ham, ground.energy, ground.degenerate)
-    if spec.kind == "random-pure":
-        seed = _read(p, "seed", _seed, required=False)
-        return GeneratedModel(random_pure_fcm(_read(p, "n", _integer), seed))
-    if spec.kind == "random-isotropic":
-        lambda0 = _read(p, "lambda0", float)
-        seed = _read(p, "seed", _seed, required=False)
-        return GeneratedModel(isotropic_fcm(_read(p, "n", _integer), lambda0, seed))
-    if spec.kind == "diagonal":
-        return GeneratedModel(diagonal_fcm(_read(p, "lambdas", _float_list)))
-    raise InvalidInputError(f"unknown model kind {spec.kind!r}")
+        try:
+            args.append(convert(parameters.get(name)))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"model parameter {name!r}: {exc}") from exc
+    return builder(*args)

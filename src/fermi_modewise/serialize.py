@@ -25,9 +25,12 @@ def fcm_to_dict(state: CovarianceMatrix) -> dict:
 def fcm_from_dict(data: dict) -> CovarianceMatrix:
     if not isinstance(data, dict) or "n_modes" not in data or "matrix" not in data:
         raise InvalidInputError('covariance JSON needs keys "n_modes" and "matrix"')
+    n = data["n_modes"]
+    if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
+        raise InvalidInputError(f"n_modes must be an integer, got {n!r}")
     try:
         matrix = np.asarray(data["matrix"], dtype=float)
-        n = int(data["n_modes"])
+        n = int(n)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed covariance JSON: {exc}") from exc
     if matrix.shape != (2 * n, 2 * n):

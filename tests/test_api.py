@@ -1,10 +1,13 @@
-"""The public names and the traced benchmark layers exist."""
+"""The public names, the CLI model kinds and the traced benchmark layers exist."""
 
+import argparse
 import importlib
 import importlib.util
 from pathlib import Path
 
 import fermi_modewise
+from fermi_modewise.cli import build_parser
+from fermi_modewise.models import MODEL_KINDS
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -26,3 +29,12 @@ def test_traced_benchmark_layers_exist():
         if not hasattr(importlib.import_module(f"fermi_modewise.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_model_kind_choices_are_the_model_table():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command in ("generate", "sweep"):
+        kind = next(a for a in subparsers.choices[command]._actions if a.dest == "kind")
+        assert tuple(kind.choices) == MODEL_KINDS

@@ -143,13 +143,27 @@ def test_cli_exit_codes(capsys, tmp_path):
         ["generate", "--kind", "random-pure", "--n", "3", "--seed", "-1"],
         ["sweep", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
          "--param", "n", "--values", "2.5", "--cut", "1"],
+        ["williamson", "--input", "n_modes_fraction.json"],
+        ["williamson", "--input", "n_modes_bool.json"],
+        ["williamson", "--input", "n_modes_huge.json"],
+        ["generate", "--kind", "diagonal", "--lambdas", ""],
+        ["sweep", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
+         "--param", "foo", "--values", "1,2", "--cut", "2"],
+        ["sweep", "--kind", "random-pure", "--n", "4", "--seed", "1",
+         "--param", "mu", "--values", "1", "--cut", "2"],
+        ["generate", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
+         "--seed", "3"],
+        ["generate", "--spec", "unknown_key_spec.json"],
     ],
     ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec",
          "spec-not-object", "spec-parameters-not-object", "verify-one-mode",
          "verify-no-trials", "nan-kappa", "n-modes-not-a-number", "ragged-matrix",
          "matrix-not-a-list", "spec-mu-not-a-number", "spec-thetas-not-a-list",
          "spec-lambdas-not-numbers", "spec-seed-not-a-number", "negative-seed",
-         "sweep-fractional-mode-count"],
+         "sweep-fractional-mode-count", "n-modes-fractional", "n-modes-bool",
+         "n-modes-not-finite", "diagonal-no-lambdas", "sweep-unknown-param",
+         "sweep-param-of-another-kind", "flag-the-kind-does-not-take",
+         "spec-key-the-kind-does-not-take"],
 )
 def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, argv):
     data = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
@@ -161,13 +175,20 @@ def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, 
     two_modes = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
     for name, key, value in [("n_modes_text", "n_modes", "abc"),
                              ("ragged", "matrix", [[0.0, 1.0], [-1.0]]),
-                             ("matrix_text", "matrix", "xy")]:
+                             ("matrix_text", "matrix", "xy"),
+                             ("n_modes_fraction", "n_modes", 2.5)]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**two_modes, key: value}))
+    one_mode = fcm_to_dict(diagonal_fcm([1.0]))
+    (tmp_path / "n_modes_bool.json").write_text(json.dumps({**one_mode, "n_modes": True}))
+    (tmp_path / "n_modes_huge.json").write_text(
+        json.dumps(two_modes).replace('"n_modes": 2', '"n_modes": 1e400')
+    )
     for name, kind, parameters in [
         ("mu_text", "kitaev", {"n": 4, "mu": "x", "t": 1, "delta": 1}),
         ("thetas_number", "bcs", {"thetas": 5}),
         ("lambdas_text", "diagonal", {"lambdas": "ab"}),
         ("seed_text", "random-pure", {"n": 3, "seed": "abc"}),
+        ("unknown_key", "bcs", {"thetas": [0.3], "n": 2}),
     ]:
         spec = {"kind": kind, "parameters": parameters}
         (tmp_path / f"{name}_spec.json").write_text(json.dumps(spec))
@@ -181,9 +202,9 @@ def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, 
 def test_cli_sweep_cut_scan_builds_the_model_once(capsys, monkeypatch):
     calls = []
 
-    def counting_generate_model(spec):
-        calls.append(spec)
-        return generate_model(spec)
+    def counting_generate_model(kind, parameters):
+        calls.append((kind, parameters))
+        return generate_model(kind, parameters)
 
     monkeypatch.setattr(cli, "generate_model", counting_generate_model)
     code, out, _ = run(

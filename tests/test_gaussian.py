@@ -209,6 +209,8 @@ def test_covariance_matrix_rejects_unphysical():
 def test_diagonal_fcm_validation():
     with pytest.raises(InvalidInputError):
         diagonal_fcm([0.5, 1.2])
+    with pytest.raises(InvalidInputError):
+        diagonal_fcm([])
     state = diagonal_fcm([0.9, 0.3])
     assert np.allclose(state.matrix[:2, :2], 0.9 * J2)
 
