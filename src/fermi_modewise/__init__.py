@@ -43,7 +43,6 @@ from .errors import (
 from .fock import (
     DEFAULT_MODE_CAP,
     FockState,
-    build_majoranas,
     dense_ground_state,
     dense_hamiltonian,
     fcm_from_state,
@@ -101,7 +100,6 @@ __all__ = [
     "ResourceLimitError",
     "DEFAULT_MODE_CAP",
     "FockState",
-    "build_majoranas",
     "dense_ground_state",
     "dense_hamiltonian",
     "fcm_from_state",

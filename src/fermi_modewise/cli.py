@@ -18,11 +18,7 @@ import numpy as np
 from . import serialize
 from .canonical import williamson_form
 from .decompose import modewise_decompose, reconstruction_residual
-from .entanglement import (
-    isotropic_separability,
-    ppt_pair_entangled,
-    pure_mode_entanglement,
-)
+from .entanglement import ppt_pair_entangled, pure_mode_entanglement
 from .errors import (
     InvalidInputError,
     NotIsotropicError,
@@ -215,7 +211,10 @@ def _cmd_verify(args) -> int:
 
 def _sweep_values(args) -> list[float]:
     if args.values is not None:
-        return serialize.parse_float_list(args.values)
+        values = serialize.parse_float_list(args.values)
+        if not values:
+            raise InvalidInputError("--values needs at least one value")
+        return values
     if args.start is None or args.stop is None or args.num is None:
         raise InvalidInputError("sweep needs --values or --start/--stop/--num")
     if args.num < 1:

@@ -1,7 +1,9 @@
 """Exact dense Fock-space reference for small mode counts.
 
-Operators follow the Jordan-Wigner mapping in mode order: the basis index
-encodes occupations with mode 0 as the most significant bit, and
+A state of N modes is the row-major flattening of its (2,)*N amplitude
+tensor, axis i holding the occupation of mode i (so mode 0 is the leading
+bit of the basis index).  Operators follow the Jordan-Wigner mapping in mode
+order,
 
     g_{2i}   = Z^(i) (x) X (x) 1...          (= b_i + b_i^dag)
     g_{2i+1} = Z^(i) (x) [[0, i], [-i, 0]] (x) 1...   (= i(b_i - b_i^dag))
@@ -82,14 +84,20 @@ class FockState:
 
     @classmethod
     def from_occupations(cls, occupations) -> "FockState":
-        occupations = [int(b) for b in occupations]
-        n = len(occupations)
-        index = 0
-        for bit in occupations:
-            index = (index << 1) | bit
-        amps = np.zeros(2**n, dtype=complex)
-        amps[index] = 1.0
-        return cls(n, amps)
+        occupations = tuple(int(b) for b in occupations)
+        if not set(occupations) <= {0, 1}:
+            raise InvalidInputError(f"occupations must be 0 or 1, got {list(occupations)}")
+        amps = np.zeros((2,) * len(occupations), dtype=complex)
+        amps[occupations] = 1.0
+        return cls(len(occupations), amps)
+
+
+@lru_cache(maxsize=4)
+def _occupations(n_modes: int) -> np.ndarray:
+    """Occupation table: entry [i, k] is the occupation of mode i in basis state k."""
+    occ = np.indices((2,) * n_modes).reshape(n_modes, -1)
+    occ.setflags(write=False)
+    return occ
 
 
 @lru_cache(maxsize=4)
@@ -97,36 +105,20 @@ def _majorana_action(n_modes: int):
     """Sparse action of every Majorana: g_a u = phase[a] * u[perm[a]].
 
     Each operator is a signed permutation in the occupation basis: it flips
-    one bit, with a sign from the parity of the occupied modes before it
-    (and a factor +-i for the second quadrature).
+    the occupation of one mode, with a sign from the parity of the occupied
+    modes before it (and a factor +-i for the second quadrature).
     """
-    dim = 2**n_modes
-    idx = np.arange(dim)
-    perm = np.empty((2 * n_modes, dim), dtype=np.intp)
-    phase = np.empty((2 * n_modes, dim), dtype=complex)
-    string_sign = np.ones(dim)
-    for i in range(n_modes):
-        mask = 1 << (n_modes - 1 - i)
-        bit = (idx & mask) != 0
-        flipped = idx ^ mask
-        perm[2 * i] = flipped
-        perm[2 * i + 1] = flipped
-        phase[2 * i] = string_sign
-        phase[2 * i + 1] = string_sign * np.where(bit, -1.0j, 1.0j)
-        string_sign = string_sign * np.where(bit, -1.0, 1.0)
+    occ = _occupations(n_modes)
+    index = np.arange(2**n_modes).reshape((2,) * n_modes)
+    flips = np.array([np.flip(index, axis=i).reshape(-1) for i in range(n_modes)])
+    perm = np.repeat(flips, 2, axis=0)
+    string_sign = (-1.0) ** (np.cumsum(occ, axis=0) - occ)
+    phase = np.empty(perm.shape, dtype=complex)
+    phase[0::2] = string_sign
+    phase[1::2] = string_sign * np.where(occ == 1, -1.0j, 1.0j)
     perm.setflags(write=False)
     phase.setflags(write=False)
     return perm, phase
-
-
-def build_majoranas(n_modes: int) -> np.ndarray:
-    """Stack of the 2N dense Majorana matrices, indexed as in the FCM."""
-    _check_cap(n_modes)
-    perm, phase = _majorana_action(n_modes)
-    dim = 2**n_modes
-    g = np.zeros((2 * n_modes, dim, dim), dtype=complex)
-    g[np.arange(2 * n_modes)[:, None], np.arange(dim), perm] = phase
-    return g
 
 
 def dense_hamiltonian(ham: QuadraticHamiltonian) -> np.ndarray:
@@ -179,15 +171,6 @@ def dense_ground_state(ham: QuadraticHamiltonian):
     return FockState(ham.n_modes, vec), float(energies[0]), degenerate
 
 
-def _hamiltonian_from_majorana_form(coupling: np.ndarray, offset: float) -> np.ndarray:
-    """Dense matrix of (i/4) g^T h g + offset; used in tests as a cross-check."""
-    n = coupling.shape[0] // 2
-    g = build_majoranas(n)
-    partial = np.tensordot(coupling, g, axes=(1, 0))
-    quad = np.einsum("aij,ajk->ik", g, partial)
-    return 0.25j * quad + offset * np.eye(2**n)
-
-
 def fcm_from_state(state: FockState) -> CovarianceMatrix:
     """Covariance matrix M_ab = Im <psi| g_a g_b |psi> of any Fock state."""
     _check_cap(state.n_modes)
@@ -197,43 +180,14 @@ def fcm_from_state(state: FockState) -> CovarianceMatrix:
     return CovarianceMatrix(gram.imag)
 
 
-def _reorder_signs(n_modes: int, permutation) -> np.ndarray:
-    """Amplitude signs for reordering fermion modes into ``permutation`` order.
-
-    Entry k is the parity of transpositions needed to sort the occupied
-    creation operators of basis state k from chain order into the permuted
-    order: a factor -1 for every occupied pair that the permutation inverts.
-    """
-    idx = np.arange(2**n_modes)
-    bits = [(idx >> (n_modes - 1 - m)) & 1 for m in range(n_modes)]
-    position = {mode: pos for pos, mode in enumerate(permutation)}
-    signs = np.ones(2**n_modes)
-    for a in range(n_modes):
-        for b in range(a + 1, n_modes):
-            if position[a] > position[b]:
-                signs *= 1.0 - 2.0 * (bits[a] & bits[b])
-    return signs
-
-
-def _permute_modes(state: FockState, permutation) -> np.ndarray:
-    """Amplitudes re-expressed with modes in ``permutation`` order, signs included."""
-    n = state.n_modes
-    idx = np.arange(2**n)
-    new_idx = np.zeros_like(idx)
-    for pos, mode in enumerate(permutation):
-        bit = (idx >> (n - 1 - mode)) & 1
-        new_idx |= bit << (n - 1 - pos)
-    out = np.zeros_like(state.amplitudes)
-    out[new_idx] = _reorder_signs(n, permutation) * state.amplitudes
-    return out
-
-
 def reduced_density(state: FockState, modes) -> np.ndarray:
     """Reduced density matrix on a mode subset (kept modes in chain order).
 
-    Modes are reordered (kept ascending, then traced ascending) with fermionic
-    reordering signs before tracing, so non-contiguous subsets reduce exactly
-    like fermion modes rather than Jordan-Wigner qubits.
+    The amplitude tensor is transposed to the kept modes, then the traced
+    ones, each ascending, and the traced axes are summed out.  Moving the
+    modes costs one fermionic sign pass first: each occupied kept mode gets
+    -1 for every occupied traced mode before it.  So non-contiguous subsets
+    reduce exactly like fermion modes rather than Jordan-Wigner qubits.
     """
     modes = sorted(int(m) for m in modes)
     if len(set(modes)) != len(modes):
@@ -243,8 +197,11 @@ def reduced_density(state: FockState, modes) -> np.ndarray:
         if not 0 <= m < n:
             raise InvalidInputError(f"mode index {m} out of range for {n} modes")
     traced = [m for m in range(n) if m not in set(modes)]
-    amps = _permute_modes(state, modes + traced)
-    block = amps.reshape(2 ** len(modes), 2 ** len(traced))
+    occ = _occupations(n)
+    traced_before = np.cumsum(occ * np.isin(range(n), traced)[:, None], axis=0)
+    signs = (-1.0) ** np.sum(occ[modes] * traced_before[modes], axis=0)
+    tensor = (signs * state.amplitudes).reshape((2,) * n).transpose(modes + traced)
+    block = tensor.reshape(2 ** len(modes), 2 ** len(traced))
     return block @ block.conj().T
 
 
@@ -255,58 +212,17 @@ def schmidt_entropy(state: FockState, partition: Bipartition) -> float:
     return float(-np.sum(xlogy(evals, evals)) / np.log(2.0))
 
 
-class _TransformedModes:
-    """Matrix-free application of transformed-mode ladder operators.
-
-    ``rotation`` maps original quadratures to transformed ones; every ladder
-    operator acts through the signed-permutation action of the Majoranas, so
-    one application costs O(N 2^N).
-    """
-
-    def __init__(self, n_modes: int, rotation: np.ndarray):
-        self._perm, self._phase = _majorana_action(n_modes)
-        self._lower = 0.5 * (rotation[0::2] - 1.0j * rotation[1::2])
-        self._raise = self._lower.conj()
-
-    def _gammas(self, vec: np.ndarray) -> np.ndarray:
-        return self._phase * vec[self._perm]
-
-    def lower(self, k: int, vec: np.ndarray) -> np.ndarray:
-        return self._lower[k] @ self._gammas(vec)
-
-    def raise_(self, k: int, vec: np.ndarray) -> np.ndarray:
-        return self._raise[k] @ self._gammas(vec)
-
-    def pair_rotation(self, vec, mode_a, mode_b, theta):
-        """Apply exp[-theta (b_a^dag b_b^dag + b_a b_b)] using X^3 = -X."""
-
-        def generator(u):
-            return self.raise_(mode_a, self.raise_(mode_b, u)) + self.lower(
-                mode_a, self.lower(mode_b, u)
-            )
-
-        first = generator(vec)
-        second = generator(first)
-        return vec - np.sin(theta) * first + (1.0 - np.cos(theta)) * second
-
-    def project_vacuum(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the rank-one vacuum projector prod_k b_k b_k^dag."""
-        for k in range(self._lower.shape[0]):
-            vec = self.lower(k, self.raise_(k, vec))
-        return vec
-
-
 def reconstruct_state(decomp: ModewiseDecomposition, reference: FockState):
     """Rebuild a pure Gaussian state from its modewise decomposition.
 
-    Constructs the transformed-mode operators from the local orthogonal
-    transforms, builds their joint vacuum, applies the two-mode squeezing
-    rotation of every entangled pair, and returns the rebuilt state together
-    with |<reference|rebuilt>| (global phase is not observable).
-
-    The vacuum is obtained by applying the exact projector prod_k b_k b_k^dag
-    of the transformed modes, which also yields the fidelity directly:
-    |<ref|T vac>| = |P_vac T^dag ref|.
+    The local orthogonal transforms give the transformed-mode annihilators
+    b_k.  The predicted state is the vacuum of d_k = R b_k R^dag, with R the
+    product of the pair rotations exp[-theta (b_a^dag b_b^dag + b_a b_b)]: for
+    each pair d_a = cos(theta) b_a + sin(theta) b_b^dag and d_b = cos(theta) b_b
+    - sin(theta) b_a^dag, and d_k = b_k for the unpaired modes.  The rank-one
+    projector prod_k d_k d_k^dag onto that vacuum, applied once to the
+    reference, gives the rebuilt state and the fidelity |<reference|rebuilt>|
+    (global phase is not observable).  Returns ``(state, fidelity)``.
     """
     if not decomp.pure:
         raise InvalidInputError(
@@ -325,35 +241,34 @@ def reconstruct_state(decomp: ModewiseDecomposition, reference: FockState):
     rotation = np.zeros((2 * n, 2 * n))
     rotation[: 2 * m, quadrature_indices(part.a_modes)] = decomp.transform_a
     rotation[2 * m :, quadrature_indices(part.b_modes)] = decomp.transform_b
-    modes = _TransformedModes(n, rotation)
+    lower = 0.5 * (rotation[0::2] - 1.0j * rotation[1::2])  # b_k = lower[k] . g
+    annihilators = lower.copy()
+    for pair in decomp.pairs:
+        a, b = pair.a_mode, m + pair.b_mode
+        cos, sin = np.cos(pair.theta), np.sin(pair.theta)
+        annihilators[a] = cos * lower[a] + sin * lower[b].conj()
+        annihilators[b] = cos * lower[b] - sin * lower[a].conj()
+    perm, phase = _majorana_action(n)
 
-    def apply_pairs(vec, sign):
-        for pair in decomp.pairs:
-            vec = modes.pair_rotation(vec, pair.a_mode, m + pair.b_mode, sign * pair.theta)
+    def project(vec):
+        for d in annihilators:
+            vec = d @ (phase * (d.conj() @ (phase * vec[perm]))[perm])
         return vec
 
-    projected = modes.project_vacuum(apply_pairs(reference.amplitudes.astype(complex), -1.0))
+    projected = project(reference.amplitudes)
     fidelity = float(np.linalg.norm(projected))
-
     if fidelity > 1e-6:
-        vacuum = projected / fidelity
-    else:
-        # Reference has (almost) no weight on the predicted state; build the
-        # vacuum from seeded probes instead so the return value stays valid.
-        rng = np.random.default_rng(0)
-        for _ in range(8):
-            probe = rng.standard_normal(2**n) + 1.0j * rng.standard_normal(2**n)
-            candidate = modes.project_vacuum(probe / np.linalg.norm(probe))
-            weight = np.linalg.norm(candidate)
-            if weight > 1e-3:
-                vacuum = candidate / weight
-                break
-        else:
-            raise NumericalConsistencyError(
-                "could not isolate the transformed-mode vacuum; the decomposition "
-                "transforms are inconsistent"
-            )
-
-    rebuilt = apply_pairs(vacuum, 1.0)
-    rebuilt = rebuilt / np.linalg.norm(rebuilt)
-    return FockState(n, rebuilt), fidelity
+        return FockState(n, projected / fidelity), fidelity
+    # Reference has (almost) no weight on the predicted state; project seeded
+    # probes instead so the return value stays valid.
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        probe = rng.standard_normal(2**n) + 1.0j * rng.standard_normal(2**n)
+        candidate = project(probe / np.linalg.norm(probe))
+        weight = np.linalg.norm(candidate)
+        if weight > 1e-3:
+            return FockState(n, candidate / weight), fidelity
+    raise NumericalConsistencyError(
+        "could not isolate the vacuum of the decomposition's modes; the decomposition "
+        "transforms are inconsistent"
+    )

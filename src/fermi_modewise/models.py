@@ -58,6 +58,18 @@ def _integer(value, minimum: int = 1) -> int:
     return value
 
 
+# Largest mode count of a model: one 2N x 2N float64 matrix takes 32 N^2 bytes,
+# 512 MiB at N = 4096.
+MAX_MODEL_MODES = 4096
+
+
+def _mode_count(value) -> int:
+    n = _integer(value)
+    if n > MAX_MODEL_MODES:
+        raise ValueError(f"expected at most {MAX_MODEL_MODES} modes, got {value!r}")
+    return n
+
+
 def _float_list(value) -> np.ndarray:
     values = np.asarray(value, dtype=float)
     if values.ndim != 1:
@@ -77,9 +89,9 @@ def _kitaev_fcm(n: int, mu: float, t: float, delta: float) -> CovarianceMatrix:
 # builder's argument order; "seed" is the only optional one
 _MODELS = {
     "bcs": (bcs_fcm, {"thetas": _float_list}),
-    "kitaev": (_kitaev_fcm, {"n": _integer, "mu": float, "t": float, "delta": float}),
-    "random-pure": (random_pure_fcm, {"n": _integer, "seed": _seed}),
-    "random-isotropic": (isotropic_fcm, {"n": _integer, "lambda0": float, "seed": _seed}),
+    "kitaev": (_kitaev_fcm, {"n": _mode_count, "mu": float, "t": float, "delta": float}),
+    "random-pure": (random_pure_fcm, {"n": _mode_count, "seed": _seed}),
+    "random-isotropic": (isotropic_fcm, {"n": _mode_count, "lambda0": float, "seed": _seed}),
     "diagonal": (diagonal_fcm, {"lambdas": _float_list}),
 }
 MODEL_KINDS = tuple(_MODELS)

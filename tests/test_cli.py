@@ -154,6 +154,13 @@ def test_cli_exit_codes(capsys, tmp_path):
         ["generate", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
          "--seed", "3"],
         ["generate", "--spec", "unknown_key_spec.json"],
+        ["sweep", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
+         "--param", "foo", "--values", "", "--cut", "2"],
+        ["sweep", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
+         "--param", "foo", "--values", "", "--cut", "99"],
+        ["sweep", "--kind", "random-pure", "--n", "3", "--seed", "1",
+         "--param", "n", "--values", "1e300", "--cut", "1"],
+        ["generate", "--spec", "n_huge_spec.json"],
     ],
     ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec",
          "spec-not-object", "spec-parameters-not-object", "verify-one-mode",
@@ -163,7 +170,8 @@ def test_cli_exit_codes(capsys, tmp_path):
          "sweep-fractional-mode-count", "n-modes-fractional", "n-modes-bool",
          "n-modes-not-finite", "diagonal-no-lambdas", "sweep-unknown-param",
          "sweep-param-of-another-kind", "flag-the-kind-does-not-take",
-         "spec-key-the-kind-does-not-take"],
+         "spec-key-the-kind-does-not-take", "sweep-no-values", "sweep-no-values-cut-out-of-range",
+         "sweep-mode-count-too-large", "spec-mode-count-too-large"],
 )
 def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, argv):
     data = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
@@ -189,6 +197,7 @@ def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, 
         ("lambdas_text", "diagonal", {"lambdas": "ab"}),
         ("seed_text", "random-pure", {"n": 3, "seed": "abc"}),
         ("unknown_key", "bcs", {"thetas": [0.3], "n": 2}),
+        ("n_huge", "random-pure", {"n": 1e300, "seed": 1}),
     ]:
         spec = {"kind": kind, "parameters": parameters}
         (tmp_path / f"{name}_spec.json").write_text(json.dumps(spec))

@@ -6,7 +6,6 @@ from fermi_modewise import (
     CovarianceMatrix,
     InvalidInputError,
     binary_entropy,
-    build_majoranas,
     isotropic_fcm,
     isotropic_separability,
     modewise_decompose,
@@ -16,6 +15,7 @@ from fermi_modewise import (
     pure_mode_entanglement,
     two_mode_block_matrix,
 )
+from test_fock import jordan_wigner_majoranas
 
 # frozen from a 40-digit arbitrary-precision evaluation of -p log2 p - (1-p) log2 (1-p)
 H2_OF_0_1 = 0.4689955935892812
@@ -107,7 +107,7 @@ def test_two_mode_block_matrix_against_fock_construction():
     rho_A = rho_B = (1 - lambda0 [b^dag, b]) / 2 and T the pair rotation, and
     compare spectra with the closed-form block matrix.
     """
-    g = build_majoranas(2)
+    g = jordan_wigner_majoranas(2)
     b = 0.5 * (g[0::2] - 1j * g[1::2])
     for lambda0, lam, kappa in admissible_triples(25, 7):
         theta = 0.5 * np.arctan2(kappa, lam)

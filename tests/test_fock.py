@@ -1,5 +1,7 @@
+import dataclasses
 import tracemalloc
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from fermi_modewise import (
     InvalidInputError,
     QuadraticHamiltonian,
     ResourceLimitError,
-    build_majoranas,
     dense_ground_state,
     dense_hamiltonian,
     fcm_from_state,
@@ -23,7 +24,7 @@ from fermi_modewise import (
     reduced_density,
     schmidt_entropy,
 )
-from fermi_modewise.fock import MODE_CAP_ENV, mode_cap
+from fermi_modewise.fock import MODE_CAP_ENV, _majorana_action, mode_cap
 from fermi_modewise.models import kitaev_hamiltonian
 from fermi_modewise.verify import random_gaussian_state, random_quadratic_hamiltonian
 
@@ -41,6 +42,14 @@ def jordan_wigner_majoranas(n):
     return np.array(ops)
 
 
+def dense_action(n):
+    """The package's Majorana action written out as 2N dense matrices."""
+    perm, phase = _majorana_action(n)
+    g = np.zeros((2 * n, 2**n, 2**n), dtype=complex)
+    g[np.arange(2 * n)[:, None], np.arange(2**n), perm] = phase
+    return g
+
+
 def squeezed_pair(theta):
     amps = np.zeros(4, dtype=complex)
     amps[0b00] = np.cos(theta)
@@ -49,20 +58,18 @@ def squeezed_pair(theta):
 
 
 def test_single_mode_matrices():
-    g = build_majoranas(1)
+    g = dense_action(1)
     assert np.array_equal(g[0], X)
     assert np.array_equal(g[1], QUAD_Y)
-    g = build_majoranas(2)
+    g = dense_action(2)
     assert np.array_equal(g[2], np.kron(Z, X))
     assert np.array_equal(g[3], np.kron(Z, QUAD_Y))
 
 
 def test_sparse_action_matches_dense_matrices():
-    from fermi_modewise.fock import _majorana_action
-
     for n in (1, 2, 3):
         g = jordan_wigner_majoranas(n)
-        assert np.array_equal(build_majoranas(n), g)
+        assert np.array_equal(dense_action(n), g)
         perm, phase = _majorana_action(n)
         rng = np.random.default_rng(n)
         vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
@@ -73,7 +80,7 @@ def test_sparse_action_matches_dense_matrices():
 
 def test_clifford_algebra_exhaustive():
     n = 4
-    g = build_majoranas(n)
+    g = dense_action(n)
     eye = np.eye(2**n)
     for a in range(2 * n):
         assert np.max(np.abs(g[a] - g[a].conj().T)) < 1e-13
@@ -85,11 +92,11 @@ def test_clifford_algebra_exhaustive():
 
 def test_mode_cap(monkeypatch):
     with pytest.raises(ResourceLimitError):
-        build_majoranas(mode_cap() + 1)
+        fcm_from_state(FockState.from_occupations([0] * (mode_cap() + 1)))
     monkeypatch.setenv(MODE_CAP_ENV, "3")
     assert mode_cap() == 3
     with pytest.raises(ResourceLimitError):
-        build_majoranas(4)
+        dense_hamiltonian(QuadraticHamiltonian(np.eye(4), np.zeros((4, 4))))
     monkeypatch.setenv(MODE_CAP_ENV, "not-a-number")
     with pytest.raises(InvalidInputError):
         mode_cap()
@@ -164,6 +171,29 @@ def test_reduced_density_full_and_single_mode():
     assert np.allclose(rho_one, np.diag([np.cos(theta) ** 2, np.sin(theta) ** 2]), atol=1e-14)
 
 
+def test_reduced_density_matches_majorana_moments_of_non_gaussian_states():
+    # Tr(rho_A G_S) = <psi|G_S|psi> for every Majorana monomial G_S on the kept
+    # modes, odd ones included, with G_S taken from the kron matrices on the
+    # kept modes alone: a reference that needs no reordering signs.
+    n = 4
+    g = jordan_wigner_majoranas(n)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        state = FockState(n, amps / np.linalg.norm(amps))
+        for size in range(1, n + 1):
+            for modes in combinations(range(n), size):
+                rho = reduced_density(state, modes)
+                local = jordan_wigner_majoranas(size)
+                quads = [2 * m + q for m in modes for q in (0, 1)]
+                for count in range(1, 2 * size + 1):
+                    for subset in combinations(range(2 * size), count):
+                        local_op = reduce(np.matmul, [local[c] for c in subset])
+                        global_op = reduce(np.matmul, [g[quads[c]] for c in subset])
+                        expected = np.vdot(state.amplitudes, global_op @ state.amplitudes)
+                        assert abs(np.trace(rho @ local_op) - expected) <= 1e-13
+
+
 def test_reduced_density_validation():
     state = squeezed_pair(0.2)
     with pytest.raises(InvalidInputError):
@@ -216,6 +246,25 @@ def test_reconstruct_single_pure_block():
     assert rebuilt.n_modes == 2
 
 
+@pytest.mark.parametrize("delta", [0.1, -0.3, 1.2])
+def test_reconstruct_fidelity_measures_the_pair_angle(delta):
+    # Shifting one pair angle by delta turns that pair's factor of the predicted
+    # state into one with overlap cos(delta); this pins the signs of d_a and d_b.
+    rng = np.random.default_rng(77)
+    random_state, fcm = random_gaussian_state(6, rng)
+    cases = [
+        (squeezed_pair(0.3), Bipartition((0,), (1,))),
+        (random_state, Bipartition((0, 1, 2), (3, 4, 5))),
+    ]
+    for state, part in cases:
+        decomp = modewise_decompose(fcm_from_state(state), part)
+        pairs = list(decomp.pairs)
+        pairs[0] = pairs[0]._replace(theta=pairs[0].theta + delta)
+        shifted = dataclasses.replace(decomp, pairs=pairs)
+        _, fidelity = reconstruct_state(shifted, state)
+        assert fidelity == pytest.approx(abs(np.cos(delta)), abs=1e-12)
+
+
 def test_reconstruct_random_state_three_by_three():
     rng = np.random.default_rng(77)
     state, fcm = random_gaussian_state(6, rng)
@@ -254,3 +303,10 @@ def test_fock_state_validation():
         FockState(2, np.ones(4))
     with pytest.raises(InvalidInputError):
         FockState(3, np.ones(4) / 2.0)
+
+
+def test_from_occupations_rejects_values_other_than_0_and_1():
+    # a -1 would otherwise index the (2,)*N amplitude tensor from the end
+    for occupations in ([0, -1], [2, 0]):
+        with pytest.raises(InvalidInputError):
+            FockState.from_occupations(occupations)

@@ -22,8 +22,8 @@ from fermi_modewise import (
     restrict,
     williamson_form,
 )
-from fermi_modewise.fock import _hamiltonian_from_majorana_form
 from fermi_modewise.verify import random_quadratic_hamiltonian
+from test_fock import jordan_wigner_majoranas
 
 
 def test_majorana_form_single_mode():
@@ -70,7 +70,8 @@ def test_majorana_form_matches_dense_oracle():
     from fermi_modewise import dense_hamiltonian
 
     dense = dense_hamiltonian(ham)
-    rebuilt = _hamiltonian_from_majorana_form(maj.coupling, maj.offset)
+    g = jordan_wigner_majoranas(3)
+    rebuilt = 0.25j * np.einsum("aij,ab,bjk->ik", g, maj.coupling, g) + maj.offset * np.eye(8)
     assert np.max(np.abs(dense - rebuilt)) < 1e-10
 
 
