@@ -25,11 +25,12 @@ from .errors import (
     NumericalConsistencyError,
     ResourceLimitError,
 )
-from .gaussian import Bipartition, CovarianceMatrix, is_pure
+from .gaussian import Bipartition, CovarianceMatrix
 from .models import MODEL_KINDS, generate_model
 from .verify import run_all
 
 RECONSTRUCTION_TOL = 1e-8
+_PURE_ONLY = "entanglement of modes is defined here for pure states only"
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -147,10 +148,7 @@ def _cmd_williamson(args) -> int:
     result = williamson_form(state.matrix)
     _write(args.out_spectrum, lambda s: serialize.write_spectrum_csv(result.lambdas, s))
     if args.out_transform:
-        _write(
-            args.out_transform,
-            lambda s: json.dump({"orthogonal": result.orthogonal.tolist()}, s),
-        )
+        _write(args.out_transform, lambda s: serialize.write_transform(result.orthogonal, s))
     return 0
 
 
@@ -164,17 +162,22 @@ def _cmd_decompose(args) -> int:
             f"decomposition failed its reconstruction self-check: residual "
             f"{residual:.3e} > {RECONSTRUCTION_TOL:.3e}"
         )
-    data = serialize.decomposition_to_dict(decomp, residual)
-    _write(args.out, lambda s: (json.dump(data, s, indent=1), s.write("\n")))
+    _write(args.out, lambda s: serialize.write_decomposition(decomp, residual, s))
     return 0
 
 
 def _cmd_entropy(args) -> int:
     state = _read_fcm(args.input)
     partition = serialize.parse_partition(args.partition, state.n_modes)
-    if not is_pure(state, tol=1e-8):
-        raise InvalidInputError("entanglement of modes is defined here for pure states only")
-    report = pure_mode_entanglement(modewise_decompose(state, partition))
+    # A state that is not isotropic is not pure either; purity is judged by
+    # the decomposition's own lambda0, the test pure_mode_entanglement applies.
+    try:
+        decomp = modewise_decompose(state, partition)
+    except NotIsotropicError as exc:
+        raise InvalidInputError(f"{_PURE_ONLY}; {exc}") from exc
+    if not decomp.pure:
+        raise InvalidInputError(f"{_PURE_ONLY}, lambda0 = {decomp.lambda0!r}")
+    report = pure_mode_entanglement(decomp)
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=1))
     else:
@@ -184,6 +187,8 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_ppt(args) -> int:
     kappas = serialize.parse_float_list(args.kappas)
+    if not kappas:
+        raise InvalidInputError("--kappas needs at least one value")
     flags = [ppt_pair_entangled(args.lambda0, k) for k in kappas]
     print(
         json.dumps(

@@ -3,7 +3,11 @@
 Covariance matrices travel as ``{"n_modes": N, "matrix": [[...]]}`` with the
 2N x 2N matrix row major.  All mode indices in external formats are 1-based;
 the library itself is 0-based.  Floats are emitted with Python's shortest
-round-trip representation, so read(write(x)) reproduces x bit for bit.
+round-trip representation, so read(write(x)) reproduces x bit for bit.  The
+files hold the bytes of ``json.dump(..., indent=1)`` (compact for the
+Williamson transform), but matrices are written one row at a time with
+``float.__repr__``, the float formatting ``json`` uses, instead of through
+``json``'s pure-Python stream encoder.
 """
 
 from __future__ import annotations
@@ -40,8 +44,36 @@ def fcm_from_dict(data: dict) -> CovarianceMatrix:
     return CovarianceMatrix(matrix)
 
 
+def _write_json(fields: dict, stream: TextIO, indent: int | None = None):
+    """Write the object ``fields`` exactly as ``json.dump(fields, stream, indent=indent)``.
+
+    Values that are 2-D float arrays are written one row at a time, so the
+    text of no more than one row is held in memory; every other value goes
+    through ``json.dumps``.
+    """
+    sep = ", " if indent is None else ","
+    # nl[level] opens a line at that depth: fields at 1, rows at 2, entries at 3
+    nl = [""] * 4 if indent is None else ["\n" + " " * (indent * level) for level in range(4)]
+    stream.write("{")
+    for i, (key, value) in enumerate(fields.items()):
+        stream.write((sep if i else "") + nl[1] + json.dumps(key) + ": ")
+        if not isinstance(value, np.ndarray):
+            stream.write(json.dumps(value, indent=indent).replace("\n", nl[1]))
+            continue
+        if not len(value):
+            stream.write("[]")
+            continue
+        entry_sep = sep + nl[3]
+        for j, row in enumerate(value):
+            entries = entry_sep.join(map(float.__repr__, row.tolist()))
+            row_text = "[" + nl[3] + entries + nl[2] + "]" if entries else "[]"
+            stream.write(("[" if j == 0 else sep) + nl[2] + row_text)
+        stream.write(nl[1] + "]")
+    stream.write(nl[0] + "}")
+
+
 def write_fcm(state: CovarianceMatrix, stream: TextIO):
-    json.dump(fcm_to_dict(state), stream, indent=1)
+    _write_json({"n_modes": state.n_modes, "matrix": state.matrix}, stream, indent=1)
     stream.write("\n")
 
 
@@ -80,7 +112,10 @@ def parse_partition(text: str, n_modes: int) -> Bipartition:
 
 
 def decomposition_to_dict(decomp: ModewiseDecomposition, residual: float) -> dict:
-    """JSON form of a decomposition; transformed-mode indices are 1-based."""
+    """Fields of the decomposition JSON; transformed-mode indices are 1-based.
+
+    The transforms stay arrays, which ``write_decomposition`` writes row by row.
+    """
     return {
         "n_modes": decomp.n_modes,
         "lambda0": decomp.lambda0,
@@ -100,10 +135,20 @@ def decomposition_to_dict(decomp: ModewiseDecomposition, residual: float) -> dic
         ],
         "residual_a": [{"mode": r.mode + 1, "lambda": r.lam} for r in decomp.residual_a],
         "residual_b": [{"mode": r.mode + 1, "lambda": r.lam} for r in decomp.residual_b],
-        "transform_a": decomp.transform_a.tolist(),
-        "transform_b": decomp.transform_b.tolist(),
+        "transform_a": decomp.transform_a,
+        "transform_b": decomp.transform_b,
         "reconstruction_residual": residual,
     }
+
+
+def write_decomposition(decomp: ModewiseDecomposition, residual: float, stream: TextIO):
+    _write_json(decomposition_to_dict(decomp, residual), stream, indent=1)
+    stream.write("\n")
+
+
+def write_transform(orthogonal: np.ndarray, stream: TextIO):
+    """The Williamson transform as compact ``{"orthogonal": [[...]]}``."""
+    _write_json({"orthogonal": orthogonal}, stream)
 
 
 def parse_float_list(text: str) -> list[float]:

@@ -1,12 +1,28 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fermi_modewise import cli, diagonal_fcm, isotropic_fcm
+from fermi_modewise import (
+    cli,
+    diagonal_fcm,
+    isotropic_fcm,
+    modewise_decompose,
+    random_pure_fcm,
+    reconstruction_residual,
+    williamson_form,
+)
 from fermi_modewise.cli import cli_main
 from fermi_modewise.models import generate_model
-from fermi_modewise.serialize import fcm_from_dict, fcm_to_dict, parse_partition
+from fermi_modewise.serialize import (
+    decomposition_to_dict,
+    fcm_from_dict,
+    fcm_to_dict,
+    parse_partition,
+    write_fcm,
+)
 
 
 def run(capsys, *argv):
@@ -46,6 +62,118 @@ def test_generate_then_decompose_recovers_angles(capsys, tmp_path):
     assert thetas == pytest.approx([0.3, 0.7], abs=1e-10)
     assert data["reconstruction_residual"] < 1e-8
     assert data["partition"]["a_modes"] == [1, 3]
+
+
+def first_difference(actual: str, expected: str):
+    """None for equal texts, else the first differing offset and the text around it.
+
+    Keeps a failure report short where pytest would diff megabytes of JSON.
+    """
+    if actual == expected:
+        return None
+    at = len(os.path.commonprefix([actual, expected]))
+    return at, actual[max(at - 30, 0):at + 30], expected[max(at - 30, 0):at + 30]
+
+
+@pytest.mark.parametrize(
+    "state, partition",
+    [
+        (random_pure_fcm(1, 4), "1;"),
+        (random_pure_fcm(4, 5), "1,2,3,4;"),
+        (random_pure_fcm(4, 5), ";1,2,3,4"),
+        (diagonal_fcm([0.5, 0.5]), "1;2"),
+        (random_pure_fcm(200, 6), ",".join(map(str, range(1, 200, 2))) + ";"
+         + ",".join(map(str, range(2, 201, 2)))),
+    ],
+    ids=["one-mode", "empty-b", "empty-a", "negative-zero", "n200"],
+)
+def test_cli_json_files_are_the_bytes_of_json_dump(capsys, tmp_path, state, partition):
+    # generate, decompose and williamson --out-transform write what
+    # json.dump(..., indent=1) writes, compact for the transform
+    fcm_path, decomp_path, transform_path = (tmp_path / n for n in ("s.json", "d.json", "t.json"))
+    with fcm_path.open("w") as stream:
+        write_fcm(state, stream)
+    expected = json.dumps(fcm_to_dict(state), indent=1) + "\n"
+    assert first_difference(fcm_path.read_text(), expected) is None
+
+    code, _, err = run(capsys, "decompose", "--input", str(fcm_path), "--partition", partition,
+                       "--out", str(decomp_path))
+    assert code == 0, err
+    decomp = modewise_decompose(state, parse_partition(partition, state.n_modes))
+    data = decomposition_to_dict(decomp, reconstruction_residual(decomp, state))
+    for key in ("transform_a", "transform_b"):
+        data[key] = data[key].tolist()
+    assert first_difference(decomp_path.read_text(), json.dumps(data, indent=1) + "\n") is None
+    written = json.loads(decomp_path.read_text())
+    for key, side in zip(("transform_a", "transform_b"), partition.split(";")):
+        assert (written[key] == []) == (side == "")
+
+    code, _, err = run(capsys, "williamson", "--input", str(fcm_path), "--out-transform",
+                       str(transform_path))
+    assert code == 0, err
+    orthogonal = williamson_form(state.matrix).orthogonal.tolist()
+    assert first_difference(transform_path.read_text(), json.dumps({"orthogonal": orthogonal})) is None
+
+
+def test_cli_generate_then_read_is_bit_exact_at_n200(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    argv = ["--kind", "random-isotropic", "--n", "200", "--lambda0", "0.9", "--seed", "12"]
+    code, _, err = run(capsys, "generate", *argv, "--out", str(path))
+    assert code == 0, err
+    loaded = fcm_from_dict(json.loads(path.read_text()))
+    expected = generate_model("random-isotropic", {"n": 200, "lambda0": 0.9, "seed": 12})
+    assert np.array_equal(loaded.matrix, expected.matrix)
+
+
+def test_write_fcm_holds_about_one_row_in_memory():
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    state = random_pure_fcm(200, 7)
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        write_fcm(state, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row_size = sink.size / state.matrix.shape[0]
+    # about 7 rows' worth here; the whole text (and its list form) is 400 rows
+    assert peak < 16 * row_size
+
+
+@pytest.mark.parametrize(
+    "state, partition",
+    [
+        (isotropic_fcm(4, 1 - 3e-9, 3), "1,2;3,4"),
+        (isotropic_fcm(4, 0.5, 3), "1,2;3,4"),
+        (diagonal_fcm([0.9, 0.3]), "1;2"),
+    ],
+    ids=["almost-pure", "isotropic-mixed", "not-isotropic"],
+)
+def test_cli_entropy_refuses_states_whose_decomposition_is_not_pure(
+        capsys, tmp_path, state, partition):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(fcm_to_dict(state)))
+    code, _, err = run(capsys, "entropy", "--input", str(path), "--partition", partition)
+    assert code == 1
+    assert err.startswith("error:") and "pure states only" in err
+
+
+def test_cli_entropy_takes_purity_from_the_decomposition(capsys, tmp_path):
+    # |lambda0 - 1| = 3e-9 passes max|M^2 + 1| <= 1e-8 but not the 1e-9
+    # purity test of the decomposition that entropy reports on
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(fcm_to_dict(isotropic_fcm(4, 1 - 3e-9, 3))))
+    code, out, _ = run(capsys, "decompose", "--input", str(path), "--partition", "1,2;3,4")
+    assert code == 0
+    assert abs(json.loads(out)["lambda0"] - 1) > 1e-9
+    path.write_text(json.dumps(fcm_to_dict(isotropic_fcm(4, 1 - 3e-10, 3))))
+    code, out, _ = run(capsys, "entropy", "--input", str(path), "--partition", "1,2;3,4")
+    assert code == 0
 
 
 def test_cli_ppt_small_lambda0_all_separable(capsys):
@@ -161,6 +289,8 @@ def test_cli_exit_codes(capsys, tmp_path):
         ["sweep", "--kind", "random-pure", "--n", "3", "--seed", "1",
          "--param", "n", "--values", "1e300", "--cut", "1"],
         ["generate", "--spec", "n_huge_spec.json"],
+        ["ppt", "--lambda0", "0.5", "--kappas", ""],
+        ["ppt", "--lambda0", "0.5", "--kappas", ","],
     ],
     ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec",
          "spec-not-object", "spec-parameters-not-object", "verify-one-mode",
@@ -171,7 +301,8 @@ def test_cli_exit_codes(capsys, tmp_path):
          "n-modes-not-finite", "diagonal-no-lambdas", "sweep-unknown-param",
          "sweep-param-of-another-kind", "flag-the-kind-does-not-take",
          "spec-key-the-kind-does-not-take", "sweep-no-values", "sweep-no-values-cut-out-of-range",
-         "sweep-mode-count-too-large", "spec-mode-count-too-large"],
+         "sweep-mode-count-too-large", "spec-mode-count-too-large", "ppt-no-kappas",
+         "ppt-only-a-comma"],
 )
 def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, argv):
     data = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
