@@ -169,8 +169,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_entropy(args) -> int:
     state = _read_fcm(args.input)
     partition = serialize.parse_partition(args.partition, state.n_modes)
-    # A state that is not isotropic is not pure either; purity is judged by
-    # the decomposition's own lambda0, the test pure_mode_entanglement applies.
+    # Not isotropic means not pure; decomp.pure is the test of gaussian.is_pure.
     try:
         decomp = modewise_decompose(state, partition)
     except NotIsotropicError as exc:

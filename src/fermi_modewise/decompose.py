@@ -31,9 +31,9 @@ from .canonical import lambda_blocks, williamson_form
 from .errors import InvalidInputError, NotIsotropicError, NumericalConsistencyError
 from .gaussian import (
     ISOTROPY_TOL,
+    PURITY_TOL,
     Bipartition,
     CovarianceMatrix,
-    isotropy_deviation,
     isotropy_parameter,
     quadrature_indices,
 )
@@ -46,8 +46,6 @@ _ZERO_LAMBDA_TOL = 1e-8
 _COMMUTING_TOL = 1e-7
 # Smallest kappa treated as a genuine pair.
 _PAIR_TOL = 1e-8
-# Largest |lambda0 - 1| of a decomposition that counts as pure.
-_PURITY_TOL = 1e-9
 
 
 class EntangledPair(NamedTuple):
@@ -95,8 +93,8 @@ class ModewiseDecomposition:
 
     @property
     def pure(self) -> bool:
-        """Whether the decomposed state is pure: |lambda0 - 1| <= 1e-9."""
-        return abs(self.lambda0 - 1.0) <= _PURITY_TOL
+        """Whether the decomposed state is pure: |lambda0 - 1| <= 1e-9, as ``is_pure``."""
+        return abs(self.lambda0 - 1.0) <= PURITY_TOL
 
 
 def _complex_to_real(x: np.ndarray) -> np.ndarray:
@@ -132,7 +130,7 @@ def modewise_decompose(state: CovarianceMatrix, partition: Bipartition) -> Modew
         )
     lambda0 = isotropy_parameter(state)
     if lambda0 is None:
-        raise NotIsotropicError(isotropy_deviation(state), ISOTROPY_TOL)
+        raise NotIsotropicError(state.isotropy_deviation, ISOTROPY_TOL)
 
     n_a, n_b = len(partition.a_modes), len(partition.b_modes)
     rows_a = quadrature_indices(partition.a_modes)

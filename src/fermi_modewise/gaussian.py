@@ -12,44 +12,64 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .canonical import antisymmetrize, j_blocks, lambda_blocks, williamson_form
 from .errors import InvalidInputError
 
+_POTRF = get_lapack_funcs(("potrf",), dtype=np.float64)[0]
+
 PHYSICALITY_TOL = 1e-9
 # Largest max|M^2 + l0^2| of an isotropic state; absolute, not relative to l0^2.
 ISOTROPY_TOL = 1e-8
+# Largest |l0 - 1| of an isotropic state that counts as pure.
+PURITY_TOL = 1e-9
 # Largest single-particle energy that flags a degenerate ground state.
 _DEGENERACY_TOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class CovarianceMatrix:
-    """Fermion covariance matrix of ``n_modes`` modes.
+    """Fermion covariance matrix of ``n_modes`` modes, frozen and read-only.
 
     The constructor antisymmetrizes the input (rejecting deviations beyond
-    1e-12) and rejects unphysical matrices whose Williamson eigenvalues exceed
-    1 + 1e-9.
+    1e-12) and forms M^2 once.  It rejects unphysical matrices, whose
+    Williamson eigenvalues exceed 1 + 1e-9, and keeps the isotropy fit
+    ``lambda0_sq`` = -tr(M^2) / 2N and ``isotropy_deviation`` = max|M^2 + lambda0_sq|.
     """
 
     matrix: np.ndarray
+    lambda0_sq: float = field(init=False, repr=False, compare=False)
+    isotropy_deviation: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.matrix = antisymmetrize(self.matrix)
-        if self.matrix.shape[0] % 2:
-            raise InvalidInputError(
-                f"covariance matrix dimension must be even, got {self.matrix.shape[0]}"
-            )
-        # Singular values of an antisymmetric matrix are the Williamson
-        # eigenvalues, each appearing twice.
-        if self.matrix.size:
-            sigma = np.linalg.svd(self.matrix, compute_uv=False)
+        m = antisymmetrize(self.matrix)
+        dim = m.shape[0]
+        if dim % 2:
+            raise InvalidInputError(f"covariance matrix dimension must be even, got {dim}")
+        m.flags.writeable = False
+        # M^2 has eigenvalues -l_k^2; its diagonal is shifted in place.
+        with np.errstate(over="ignore", invalid="ignore"):
+            msq = m @ m
+            diagonal = msq.reshape(-1)[:: dim + 1]
+            lam0_sq = -float(np.trace(msq)) / max(dim, 1)
+            diagonal += lam0_sq
+            deviation = float(max(msq.max(initial=0.0), -msq.min(initial=0.0)))
+            # Every l_k <= 1 + tol iff (1 + tol)^2 + M^2 is positive semidefinite;
+            # entries that overflow M^2 leave the deviation non-finite.
+            diagonal += (1.0 + PHYSICALITY_TOL) ** 2 - lam0_sq
+        if not np.isfinite(deviation) or _POTRF(msq.T, overwrite_a=True, clean=False)[1]:
+            # The singular values, the Williamson eigenvalues twice, word the error.
+            sigma = np.linalg.svd(m, compute_uv=False)
             bad = sigma[sigma > 1.0 + PHYSICALITY_TOL]
             if bad.size:
                 raise InvalidInputError(
                     "unphysical covariance matrix: Williamson eigenvalues "
                     f"{np.unique(np.round(bad, 12)).tolist()} exceed 1 + {PHYSICALITY_TOL}"
                 )
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "lambda0_sq", lam0_sq)
+        object.__setattr__(self, "isotropy_deviation", deviation)
 
     @property
     def n_modes(self) -> int:
@@ -129,8 +149,6 @@ class Bipartition:
 def quadrature_indices(modes) -> np.ndarray:
     """Row/column indices of the quadratures of the given modes, in order."""
     modes = np.asarray(list(modes), dtype=int)
-    if modes.size == 0:
-        return np.zeros(0, dtype=int)
     return np.column_stack((2 * modes, 2 * modes + 1)).reshape(-1)
 
 
@@ -190,33 +208,17 @@ def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundStateFCM:
     return GroundStateFCM(fcm, energy, degenerate)
 
 
-def is_pure(state: CovarianceMatrix, tol: float = 1e-9) -> bool:
-    """True iff M^2 = -1 within ``tol`` (all Williamson eigenvalues 1)."""
-    m = state.matrix
-    return bool(np.max(np.abs(m @ m + np.eye(m.shape[0]))) <= tol)
-
-
-def _isotropy_fit(state: CovarianceMatrix) -> tuple[float, float]:
-    """Best-fit l0^2 = -tr(M^2) / 2N and the deviation max|M^2 + l0^2|."""
-    m = state.matrix
-    if m.size == 0:
-        return 0.0, 0.0
-    msq = m @ m
-    lam0_sq = -float(np.trace(msq)) / m.shape[0]
-    return lam0_sq, float(np.max(np.abs(msq + lam0_sq * np.eye(m.shape[0]))))
-
-
 def isotropy_parameter(state: CovarianceMatrix):
-    """Return l0 >= 0 with M^2 = -l0^2 within 1e-8, or None if not isotropic."""
-    lam0_sq, deviation = _isotropy_fit(state)
-    if deviation > ISOTROPY_TOL:
+    """Return l0 >= 0 with M^2 = -l0^2 within 1e-8, or None; reads the state's fit."""
+    if state.isotropy_deviation > ISOTROPY_TOL:
         return None
-    return abs(float(np.sqrt(max(lam0_sq, 0.0))))
+    return abs(float(np.sqrt(max(state.lambda0_sq, 0.0))))
 
 
-def isotropy_deviation(state: CovarianceMatrix) -> float:
-    """Measured max|M^2 + l0^2| for the best-fit l0 (diagnostic companion)."""
-    return _isotropy_fit(state)[1]
+def is_pure(state: CovarianceMatrix) -> bool:
+    """True iff the state is isotropic with |l0 - 1| <= 1e-9, as ``ModewiseDecomposition.pure``."""
+    lambda0 = isotropy_parameter(state)
+    return lambda0 is not None and abs(lambda0 - 1.0) <= PURITY_TOL
 
 
 def restrict(state: CovarianceMatrix, modes) -> CovarianceMatrix:
@@ -231,16 +233,9 @@ def restrict(state: CovarianceMatrix, modes) -> CovarianceMatrix:
     return CovarianceMatrix(state.matrix[np.ix_(q, q)])
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def haar_orthogonal(dim: int, seed) -> np.ndarray:
     """Haar-distributed orthogonal matrix: QR of a Gaussian matrix, sign-fixed."""
-    rng = _as_generator(seed)
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs

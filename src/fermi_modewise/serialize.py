@@ -5,9 +5,9 @@ Covariance matrices travel as ``{"n_modes": N, "matrix": [[...]]}`` with the
 the library itself is 0-based.  Floats are emitted with Python's shortest
 round-trip representation, so read(write(x)) reproduces x bit for bit.  The
 files hold the bytes of ``json.dump(..., indent=1)`` (compact for the
-Williamson transform), but matrices are written one row at a time with
-``float.__repr__``, the float formatting ``json`` uses, instead of through
-``json``'s pure-Python stream encoder.
+Williamson transform) and a final newline, but matrices are written one row at
+a time with ``float.__repr__``, the float formatting ``json`` uses, instead of
+through ``json``'s pure-Python stream encoder.
 """
 
 from __future__ import annotations
@@ -149,6 +149,7 @@ def write_decomposition(decomp: ModewiseDecomposition, residual: float, stream: 
 def write_transform(orthogonal: np.ndarray, stream: TextIO):
     """The Williamson transform as compact ``{"orthogonal": [[...]]}``."""
     _write_json({"orthogonal": orthogonal}, stream)
+    stream.write("\n")
 
 
 def parse_float_list(text: str) -> list[float]:

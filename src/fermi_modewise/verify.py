@@ -330,7 +330,7 @@ def check_negative_controls() -> CheckResult:
     amps = np.zeros(16, dtype=complex)
     amps[0b1100] = amps[0b0011] = 1.0 / np.sqrt(2.0)
     non_gaussian = FockState(4, amps)
-    gaussian_accepted = is_pure(fcm_from_state(non_gaussian), tol=1e-6)
+    gaussian_accepted = is_pure(fcm_from_state(non_gaussian))
 
     mixed = diagonal_fcm([0.9, 0.3])
     try:
@@ -349,9 +349,10 @@ def check_negative_controls() -> CheckResult:
 
 def run_all(max_modes: int = 6, trials: int = 20, seed: int = 7) -> list[CheckResult]:
     """Full verification battery at a configurable scale."""
-    if max_modes < 2 or trials < 1:
+    if max_modes < 2 or trials < 1 or seed < 0:
         raise InvalidInputError(
-            f"verify needs max_modes >= 2 and trials >= 1, got {max_modes} and {trials}"
+            f"verify needs max_modes >= 2, trials >= 1 and seed >= 0, "
+            f"got {max_modes}, {trials} and {seed}"
         )
     fidelity, entropy = check_theorem_and_entropy(
         trials=trials, max_modes=max_modes, seed=seed

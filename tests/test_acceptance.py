@@ -77,7 +77,7 @@ def test_criterion_7_hamiltonian_consistency():
 def test_criterion_8_negative_controls(tmp_path, capsys):
     amps = np.zeros(16, dtype=complex)
     amps[0b1100] = amps[0b0011] = 1 / np.sqrt(2)
-    non_gaussian_rejected = not is_pure(fcm_from_state(FockState(4, amps)), 1e-6)
+    non_gaussian_rejected = not is_pure(fcm_from_state(FockState(4, amps)))
 
     fcm_path = tmp_path / "mixed.json"
     fcm_path.write_text(json.dumps(fcm_to_dict(diagonal_fcm([0.9, 0.3]))))

@@ -89,7 +89,7 @@ def first_difference(actual: str, expected: str):
 )
 def test_cli_json_files_are_the_bytes_of_json_dump(capsys, tmp_path, state, partition):
     # generate, decompose and williamson --out-transform write what
-    # json.dump(..., indent=1) writes, compact for the transform
+    # json.dump(..., indent=1) writes, compact for the transform, and a newline
     fcm_path, decomp_path, transform_path = (tmp_path / n for n in ("s.json", "d.json", "t.json"))
     with fcm_path.open("w") as stream:
         write_fcm(state, stream)
@@ -112,7 +112,8 @@ def test_cli_json_files_are_the_bytes_of_json_dump(capsys, tmp_path, state, part
                        str(transform_path))
     assert code == 0, err
     orthogonal = williamson_form(state.matrix).orthogonal.tolist()
-    assert first_difference(transform_path.read_text(), json.dumps({"orthogonal": orthogonal})) is None
+    expected = json.dumps({"orthogonal": orthogonal}) + "\n"
+    assert first_difference(transform_path.read_text(), expected) is None
 
 
 def test_cli_generate_then_read_is_bit_exact_at_n200(capsys, tmp_path):
@@ -291,6 +292,7 @@ def test_cli_exit_codes(capsys, tmp_path):
         ["generate", "--spec", "n_huge_spec.json"],
         ["ppt", "--lambda0", "0.5", "--kappas", ""],
         ["ppt", "--lambda0", "0.5", "--kappas", ","],
+        ["verify", "--seed", "-1", "--max-modes", "2", "--trials", "1"],
     ],
     ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec",
          "spec-not-object", "spec-parameters-not-object", "verify-one-mode",
@@ -302,7 +304,7 @@ def test_cli_exit_codes(capsys, tmp_path):
          "sweep-param-of-another-kind", "flag-the-kind-does-not-take",
          "spec-key-the-kind-does-not-take", "sweep-no-values", "sweep-no-values-cut-out-of-range",
          "sweep-mode-count-too-large", "spec-mode-count-too-large", "ppt-no-kappas",
-         "ppt-only-a-comma"],
+         "ppt-only-a-comma", "verify-negative-seed"],
 )
 def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, argv):
     data = fcm_to_dict(diagonal_fcm([1.0, 1.0]))

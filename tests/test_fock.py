@@ -279,13 +279,13 @@ def test_non_gaussian_states_fail_purity():
     amps = np.zeros(16, dtype=complex)
     amps[0b1100] = amps[0b0011] = 1 / np.sqrt(2)
     pair_sum = FockState(4, amps)
-    assert not is_pure(fcm_from_state(pair_sum), 1e-6)
+    assert not is_pure(fcm_from_state(pair_sum))
 
     # parity-mixed superposition is not Gaussian either
     amps = np.zeros(8, dtype=complex)
     amps[0b000] = amps[0b111] = 1 / np.sqrt(2)
     cat = FockState(3, amps)
-    assert not is_pure(fcm_from_state(cat), 1e-6)
+    assert not is_pure(fcm_from_state(cat))
 
 
 def test_single_quasiparticle_superposition_is_gaussian():
@@ -295,7 +295,7 @@ def test_single_quasiparticle_superposition_is_gaussian():
     for i in range(3):
         amps[1 << i] = 1 / np.sqrt(3)
     w_state = FockState(3, amps)
-    assert is_pure(fcm_from_state(w_state), 1e-9)
+    assert is_pure(fcm_from_state(w_state))
 
 
 def test_fock_state_validation():

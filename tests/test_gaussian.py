@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,17 +8,21 @@ from fermi_modewise import (
     CovarianceMatrix,
     InvalidInputError,
     J2,
+    NotIsotropicError,
     QuadraticHamiltonian,
     diagonal_fcm,
     dense_ground_state,
     fcm_from_state,
     ground_state_fcm,
+    haar_orthogonal,
     hamiltonian_to_majorana,
     is_pure,
     isotropic_fcm,
     isotropy_parameter,
     j_blocks,
     kitaev_hamiltonian,
+    lambda_blocks,
+    modewise_decompose,
     pair_block,
     random_pure_fcm,
     restrict,
@@ -100,7 +106,7 @@ def test_ground_state_vacuum_and_filled():
 def test_ground_state_is_pure_and_matches_dense_oracle():
     ham = kitaev_hamiltonian(6, 0.5, 1.0, 1.0)
     ground = ground_state_fcm(ham)
-    assert is_pure(ground.fcm, 1e-9)
+    assert is_pure(ground.fcm)
     state, energy, _ = dense_ground_state(ham)
     assert ground.energy == pytest.approx(energy, abs=1e-8)
     assert np.max(np.abs(ground.fcm.matrix - fcm_from_state(state).matrix)) < 1e-8
@@ -115,9 +121,44 @@ def test_ground_state_degeneracy_flag():
 
 def test_is_pure():
     vacuum = diagonal_fcm([1.0, 1.0])
-    assert is_pure(vacuum, 1e-9)
-    assert not is_pure(CovarianceMatrix(0.5 * vacuum.matrix), 1e-9)
-    assert is_pure(random_pure_fcm(4, 9), 1e-9)
+    assert is_pure(vacuum)
+    assert not is_pure(CovarianceMatrix(0.5 * vacuum.matrix))
+    assert is_pure(random_pure_fcm(4, 9))
+
+
+@pytest.mark.parametrize("lambda0, pure", [(1.0, True), (1 - 3e-10, True),
+                                           (1 - 3e-9, False), (0.5, False)])
+def test_is_pure_is_the_purity_of_the_decomposition(lambda0, pure):
+    state = isotropic_fcm(3, lambda0, 2)
+    assert is_pure(state) == modewise_decompose(state, Bipartition((0,), (1, 2))).pure == pure
+
+
+def test_not_isotropic_is_not_pure_and_reports_the_stored_deviation():
+    state = diagonal_fcm([0.9, 0.3])
+    assert not is_pure(state)
+    with pytest.raises(NotIsotropicError) as raised:
+        modewise_decompose(state, Bipartition((0,), (1,)))
+    assert raised.value.deviation == state.isotropy_deviation
+
+
+def test_isotropy_fit_is_stored_at_construction():
+    state = isotropic_fcm(4, 0.8, 3)
+    msq = state.matrix @ state.matrix
+    lam0_sq = -float(np.trace(msq)) / msq.shape[0]
+    assert state.lambda0_sq == lam0_sq
+    assert state.isotropy_deviation == float(np.max(np.abs(msq + lam0_sq * np.eye(8))))
+    assert isotropy_parameter(state) == abs(float(np.sqrt(lam0_sq)))
+
+
+def test_covariance_matrix_is_frozen_and_read_only():
+    given = j_blocks(2)
+    state = CovarianceMatrix(given)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.matrix = 0.5 * given
+    with pytest.raises(ValueError):
+        state.matrix[0, 1] = 0.5
+    assert given.flags.writeable
+    given[0, 1] = 0.5
 
 
 def test_isotropy_parameter():
@@ -171,13 +212,13 @@ def test_random_pure_fcm_determinism_and_physicality():
     assert np.array_equal(a.matrix, b.matrix)
     for seed in range(100):
         state = random_pure_fcm(4, seed)
-        assert is_pure(state, 1e-9)
+        assert is_pure(state)
         lambdas = williamson_form(restrict(state, [0, 2]).matrix).lambdas
         assert np.all(lambdas >= -1e-12) and np.all(lambdas <= 1 + 1e-9)
 
 
 def test_isotropic_fcm():
-    assert is_pure(isotropic_fcm(3, 1.0, 5), 1e-9)
+    assert is_pure(isotropic_fcm(3, 1.0, 5))
     assert np.allclose(isotropic_fcm(3, 0.0, 5).matrix, 0.0)
     state = isotropic_fcm(3, 0.7, 5)
     assert np.max(np.abs(state.matrix @ state.matrix + 0.49 * np.eye(6))) < 1e-10
@@ -200,11 +241,32 @@ def test_pure_states_pair_local_spectra():
     assert np.max(np.abs(below_a - below_b), initial=0.0) < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
 def test_covariance_matrix_rejects_unphysical():
     with pytest.raises(InvalidInputError):
         CovarianceMatrix(1.5 * j_blocks(2))
     with pytest.raises(InvalidInputError):
         CovarianceMatrix(np.ones((4, 4)))
+    with pytest.raises(InvalidInputError):  # M^2 overflows
+        CovarianceMatrix(1e200 * j_blocks(2))
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["block-diagonal", "haar-rotated"])
+def test_physicality_boundary(rotated):
+    lambdas = np.random.default_rng(5).uniform(0.0, 1.0, 50)
+    rotation = haar_orthogonal(100, 6) if rotated else np.eye(100)
+
+    def state(top):
+        lambdas[7] = top
+        return CovarianceMatrix(rotation @ lambda_blocks(lambdas) @ rotation.T)
+
+    assert state(1 + 0.5e-9).n_modes == 50
+    with pytest.raises(InvalidInputError) as raised:
+        state(1 + 2e-9)
+    assert str(raised.value) == (
+        "unphysical covariance matrix: Williamson eigenvalues [1.000000002] exceed 1 + 1e-09"
+    )
+    assert CovarianceMatrix(np.zeros((0, 0))).n_modes == 0
 
 
 def test_diagonal_fcm_validation():

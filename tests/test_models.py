@@ -45,7 +45,7 @@ def test_bcs_angle_validation():
 def test_kitaev_ground_state_checks_out():
     ham = kitaev_hamiltonian(6, 0.5, 1.0, 1.0)
     model = generate_model("kitaev", {"n": 6, "mu": 0.5, "t": 1.0, "delta": 1.0})
-    assert is_pure(model, 1e-9)
+    assert is_pure(model)
     state, energy, _ = dense_ground_state(ham)
     assert ground_state_fcm(ham).energy == pytest.approx(energy, abs=1e-8)
 
@@ -75,7 +75,7 @@ def test_random_kinds_delegate():
     for kind, (parameters, build) in DELEGATES.items():
         assert np.array_equal(generate_model(kind, parameters).matrix, build().matrix), kind
     pure = generate_model("random-pure", {"n": 3, "seed": 4})
-    assert is_pure(pure, 1e-9)
+    assert is_pure(pure)
     iso = generate_model("random-isotropic", {"n": 3, "lambda0": 0.4, "seed": 4})
     assert np.max(np.abs(iso.matrix @ iso.matrix + 0.16 * np.eye(6))) < 1e-10
     diag = generate_model("diagonal", {"lambdas": [0.2, 0.8]})
