@@ -7,7 +7,10 @@ block-diagonal form
 
 with O orthogonal and l_1 >= ... >= l_N >= 0.  The l_i are the Williamson
 eigenvalues of M; they coincide with the singular values of M, each taken once
-per doubly degenerate pair.
+per doubly degenerate pair.  Chiral matrices, exactly zero at every (even,
+even) and (odd, odd) entry, as are the states and couplings of real
+Hamiltonians, need only one N x N SVD; any other M first takes a Hessenberg
+reduction.
 """
 
 from __future__ import annotations
@@ -87,11 +90,18 @@ class WilliamsonForm:
 def williamson_form(mat: np.ndarray) -> WilliamsonForm:
     """Compute the antisymmetric canonical form by the skew route of Ward & Gray.
 
-    An orthogonal Hessenberg reduction Q^T M Q of an antisymmetric matrix is
-    tridiagonal with subdiagonal e.  Reordered into even and odd indices it is
-    [[0, B], [-B^T, 0]] with the N x N lower bidiagonal B[k, k] = -e[2k],
-    B[k+1, k] = e[2k+1], so the SVD B = U S V^T gives the l_i = S_ii and the
-    rows O[0::2] = (Q[:, 1::2] V)^T, O[1::2] = (Q[:, 0::2] U)^T.  See R. C. Ward
+    A chiral matrix, one with exact zeros at all (even, even) and (odd, odd)
+    positions, is [[0, B], [-B^T, 0]] in even-odd order, with the N x N block
+    B = M[0::2, 1::2].  The SVD B = U S V^T gives the l_i = S_ii and the rows
+    O[0::2] = V^T on the odd columns, O[1::2] = U^T on the even columns.  The
+    covariance and coupling matrices of real Hamiltonians (real C and A) are
+    chiral, so they need only this one N x N SVD.
+
+    Any other input is first brought to chiral form by an orthogonal
+    Hessenberg reduction Q^T M Q, which for an antisymmetric matrix is
+    tridiagonal with subdiagonal e; its B is the lower bidiagonal
+    B[k, k] = -e[2k], B[k+1, k] = e[2k+1], and the rows become
+    O[0::2] = (Q[:, 1::2] V)^T, O[1::2] = (Q[:, 0::2] U)^T.  See R. C. Ward
     and L. J. Gray, "Eigensystem computation for skew-symmetric matrices and a
     class of symmetric matrices", ACM TOMS 4 (1978) 278.
 
@@ -104,18 +114,25 @@ def williamson_form(mat: np.ndarray) -> WilliamsonForm:
     if dim == 0:
         return WilliamsonForm(np.zeros((0, 0)), np.zeros(0))
 
-    hi = dim - 1
-    lwork = int(max(_GEHRD_LWORK(dim, lo=0, hi=hi)[0], _ORGHR_LWORK(dim, lo=0, hi=hi)[0]))
-    h, tau, _ = _GEHRD(m, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
-    e = np.diagonal(h, -1).copy()
-    q, _ = _ORGHR(h, tau, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
-    n = dim // 2
-    bidiagonal = np.diag(-e[0::2])
-    bidiagonal[np.arange(1, n), np.arange(n - 1)] = e[1::2]
-    u, sigma, vt = np.linalg.svd(bidiagonal)
-    orthogonal = np.empty((dim, dim))
-    orthogonal[0::2] = vt @ q[:, 1::2].T
-    orthogonal[1::2] = u.T @ q[:, 0::2].T
+    chiral = not (m[0::2, 0::2].any() or m[1::2, 1::2].any())
+    if chiral:
+        block = m[0::2, 1::2]
+    else:
+        n, hi = dim // 2, dim - 1
+        lwork = int(max(_GEHRD_LWORK(dim, lo=0, hi=hi)[0], _ORGHR_LWORK(dim, lo=0, hi=hi)[0]))
+        h, tau, _ = _GEHRD(m, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
+        e = np.diagonal(h, -1).copy()
+        q, _ = _ORGHR(h, tau, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
+        block = np.diag(-e[0::2])
+        block[np.arange(1, n), np.arange(n - 1)] = e[1::2]
+    u, sigma, vt = np.linalg.svd(block)
+    orthogonal = np.zeros((dim, dim))
+    if chiral:
+        orthogonal[0::2, 1::2] = vt
+        orthogonal[1::2, 0::2] = u.T
+    else:
+        orthogonal[0::2] = vt @ q[:, 1::2].T
+        orthogonal[1::2] = u.T @ q[:, 0::2].T
     return WilliamsonForm(orthogonal, np.abs(sigma))
 
 

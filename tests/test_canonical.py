@@ -5,14 +5,17 @@ from scipy.linalg import block_diag
 from fermi_modewise import (
     InvalidInputError,
     J2,
+    QuadraticHamiltonian,
     antisymmetrize,
     diagonal_fcm,
+    ground_state_fcm,
     haar_orthogonal,
     hamiltonian_to_majorana,
     is_orthogonal,
     j_blocks,
     kitaev_hamiltonian,
     lambda_blocks,
+    restrict,
     williamson_form,
 )
 
@@ -97,6 +100,23 @@ def _haar_rotated(lambdas, seed):
     return r @ lambda_blocks(lambdas) @ r.T
 
 
+def _kitaev_coupling(mu, delta):
+    return hamiltonian_to_majorana(kitaev_hamiltonian(64, mu, 1.0, delta)).coupling
+
+
+def _random_chiral(n, seed):
+    """Antisymmetric matrix with a random real block at the (even, odd) positions."""
+    mat = np.zeros((2 * n, 2 * n))
+    block = np.random.default_rng(seed).standard_normal((n, n))
+    mat[0::2, 1::2] = block
+    mat[1::2, 0::2] = -block.T
+    return mat
+
+
+def _is_chiral(mat):
+    return not (mat[0::2, 0::2].any() or mat[1::2, 1::2].any())
+
+
 STRUCTURED_INPUTS = {
     "all-zero": np.zeros((6, 6)),
     # the Hessenberg form splits at the exact zero blocks
@@ -110,7 +130,16 @@ STRUCTURED_INPUTS = {
     "rank-deficient": diagonal_fcm([0.9, 0.0, 0.3, 0.0]).matrix,
     # a negative block and ascending order: rows must be swapped and reordered
     "canonical-needs-swap": lambda_blocks([0.3, -0.9, 0.5]),
+    # chiral inputs, exactly zero at (even, even) and (odd, odd): one SVD, no Hessenberg
+    "kitaev-topological": _kitaev_coupling(0.5, 1.0),  # Majorana edge modes, l ~ 8e-12
+    "kitaev-critical": _kitaev_coupling(2.0, 1.0),
+    "kitaev-xx": _kitaev_coupling(0.0, 0.0),
+    "ground-state-cut": restrict(
+        ground_state_fcm(kitaev_hamiltonian(64, 0.5, 1.0, 1.0)).fcm, range(16)
+    ).matrix,
+    "random-chiral": _random_chiral(12, 9),
 }
+CHIRAL_INPUTS = [name for name in sorted(STRUCTURED_INPUTS) if _is_chiral(STRUCTURED_INPUTS[name])]
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURED_INPUTS))
@@ -123,6 +152,35 @@ def test_williamson_structured_inputs(name):
     assert not np.any(np.signbit(form.lambdas))
     expected = np.linalg.svd(mat, compute_uv=False)[::2]
     assert np.max(np.abs(form.lambdas - expected)) <= 1e-12
+
+
+def test_williamson_chiral_route():
+    # On chiral input O is chiral too, and l are the singular values of the
+    # (even, odd) block.
+    assert {"kitaev-topological", "ground-state-cut", "random-chiral"} <= set(CHIRAL_INPUTS)
+    for name in CHIRAL_INPUTS:
+        mat = STRUCTURED_INPUTS[name]
+        form = williamson_form(mat)
+        assert _is_chiral(form.orthogonal), name
+        expected = np.linalg.svd(mat[0::2, 1::2], compute_uv=False)
+        assert np.max(np.abs(form.lambdas - expected)) <= 1e-12, name
+        assert reconstruction_error(mat, form) <= 1e-12, name
+
+    # Real Hamiltonians give exactly chiral states; complex ones do not.
+    assert _is_chiral(ground_state_fcm(kitaev_hamiltonian(16, 2.0, 1.0, 0.5)).fcm.matrix)
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    complex_ground = ground_state_fcm(QuadraticHamiltonian(c + c.conj().T, a - a.T)).fcm
+    assert not _is_chiral(complex_ground.matrix)
+
+    # One even-even entry of 1e-14 sends the input down the Hessenberg route.
+    mat = STRUCTURED_INPUTS["random-chiral"].copy()
+    mat[0, 2], mat[2, 0] = 1e-14, -1e-14
+    form = williamson_form(mat)
+    assert not _is_chiral(form.orthogonal)
+    assert reconstruction_error(mat, form) <= 1e-12
+    assert is_orthogonal(form.orthogonal, 1e-12)
 
 
 def test_williamson_kitaev_coupling_matches_eigensolver_oracle():

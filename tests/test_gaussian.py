@@ -227,6 +227,31 @@ def test_isotropic_fcm():
         isotropic_fcm(3, 1.5, 5)
 
 
+@pytest.mark.parametrize("n_modes, lambda0", [(3, 0.0), (3, 0.5), (3, 1.0), (50, 0.3), (400, 0.9)])
+def test_isotropic_fcm_is_lambda0_times_the_pure_state(n_modes, lambda0):
+    # the two-step formula: build the pure state R diag(J2) R^T, scale, build again
+    r = haar_orthogonal(2 * n_modes, 7)
+    pure = CovarianceMatrix(r @ j_blocks(n_modes) @ r.T).matrix
+    two_step = CovarianceMatrix(lambda0 * pure).matrix
+    for built, expected in ((isotropic_fcm(n_modes, lambda0, 7).matrix, two_step),
+                            (random_pure_fcm(n_modes, 7).matrix, pure)):
+        assert np.array_equal(built, expected)
+        assert built.tobytes() == expected.tobytes()
+
+
+def test_covariance_matrix_equality():
+    state = random_pure_fcm(2, 1)
+    assert state == random_pure_fcm(2, 1)
+    assert not state != random_pure_fcm(2, 1)
+    assert state != random_pure_fcm(2, 2)
+    assert state != random_pure_fcm(3, 1)
+    assert state != CovarianceMatrix(np.zeros((0, 0)))
+    assert CovarianceMatrix(np.zeros((0, 0))) == CovarianceMatrix(np.zeros((0, 0)))
+    for other in (state.matrix, "state", None, 1.0):
+        assert (state == other) is False
+        assert (state != other) is True
+
+
 def test_pure_states_pair_local_spectra():
     from fermi_modewise.verify import random_gaussian_state
 
