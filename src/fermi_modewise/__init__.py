@@ -41,12 +41,11 @@ from .errors import (
     ResourceLimitError,
 )
 from .fock import (
-    DEFAULT_MODE_CAP,
+    MODE_CAP,
     FockState,
     dense_ground_state,
     dense_hamiltonian,
     fcm_from_state,
-    mode_cap,
     reconstruct_state,
     reduced_density,
     schmidt_entropy,
@@ -98,12 +97,11 @@ __all__ = [
     "NotIsotropicError",
     "NumericalConsistencyError",
     "ResourceLimitError",
-    "DEFAULT_MODE_CAP",
+    "MODE_CAP",
     "FockState",
     "dense_ground_state",
     "dense_hamiltonian",
     "fcm_from_state",
-    "mode_cap",
     "reconstruct_state",
     "reduced_density",
     "schmidt_entropy",

@@ -18,7 +18,7 @@ import numpy as np
 from . import serialize
 from .canonical import williamson_form
 from .decompose import modewise_decompose, reconstruction_residual
-from .entanglement import ppt_pair_entangled, pure_mode_entanglement
+from .entanglement import isotropic_separability, ppt_pair_entangled, pure_mode_entanglement
 from .errors import (
     InvalidInputError,
     NotIsotropicError,
@@ -30,7 +30,9 @@ from .models import MODEL_KINDS, generate_model
 from .verify import run_all
 
 RECONSTRUCTION_TOL = 1e-8
-_PURE_ONLY = "entanglement of modes is defined here for pure states only"
+# Most points a --start/--stop/--num sweep may ask for; each one is a model
+# build and a decomposition.
+MAX_SWEEP_POINTS = 100_000
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -169,13 +171,13 @@ def _cmd_decompose(args) -> int:
 def _cmd_entropy(args) -> int:
     state = _read_fcm(args.input)
     partition = serialize.parse_partition(args.partition, state.n_modes)
-    # Not isotropic means not pure; decomp.pure is the test of gaussian.is_pure.
+    # Not isotropic means not pure; pure_mode_entanglement refuses the rest.
     try:
         decomp = modewise_decompose(state, partition)
     except NotIsotropicError as exc:
-        raise InvalidInputError(f"{_PURE_ONLY}; {exc}") from exc
-    if not decomp.pure:
-        raise InvalidInputError(f"{_PURE_ONLY}, lambda0 = {decomp.lambda0!r}")
+        raise InvalidInputError(
+            f"entanglement of modes is defined here for pure states only; {exc}"
+        ) from exc
     report = pure_mode_entanglement(decomp)
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=1))
@@ -213,16 +215,23 @@ def _cmd_verify(args) -> int:
     return 0 if not failed else 2
 
 
+def _refuse_flags(args, names, reason: str):
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise InvalidInputError(f"{reason}; drop {', '.join(given)}")
+
+
 def _sweep_values(args) -> list[float]:
     if args.values is not None:
+        _refuse_flags(args, ("start", "stop", "num"), "--values replaces the range")
         values = serialize.parse_float_list(args.values)
         if not values:
             raise InvalidInputError("--values needs at least one value")
         return values
     if args.start is None or args.stop is None or args.num is None:
         raise InvalidInputError("sweep needs --values or --start/--stop/--num")
-    if args.num < 1:
-        raise InvalidInputError(f"--num must be >= 1, got {args.num}")
+    if not 1 <= args.num <= MAX_SWEEP_POINTS:
+        raise InvalidInputError(f"--num must lie in 1..{MAX_SWEEP_POINTS}, got {args.num}")
     return np.linspace(args.start, args.stop, args.num).tolist()
 
 
@@ -233,9 +242,7 @@ def _sweep_row(state: CovarianceMatrix, cut: int, value: float) -> dict:
     partition = Bipartition(tuple(range(cut)), tuple(range(cut, n)))
     decomp = modewise_decompose(state, partition)
     thetas = [p.theta for p in decomp.pairs]
-    entropy = None
-    if decomp.pure:
-        entropy = pure_mode_entanglement(decomp).total_modes_entropy
+    entropy = isotropic_separability(decomp).total_modes_entropy
     return {"value": value, "cut": cut, "thetas": thetas, "entropy": entropy}
 
 
@@ -243,7 +250,11 @@ def _cmd_sweep(args) -> int:
     kind, parameters = _model_spec_from_args(args)
     rows = []
     if args.scan_cut:
+        _refuse_flags(args, ("param", "values", "start", "stop", "num", "cut"),
+                      "--scan-cut scans every cut at the given parameters")
         state = generate_model(kind, parameters)
+        if state.n_modes < 2:
+            raise InvalidInputError(f"--scan-cut needs at least 2 modes, got {state.n_modes}")
         for cut in range(1, state.n_modes):
             rows.append(_sweep_row(state, cut, float(cut)))
     else:

@@ -2,9 +2,11 @@
 
 For pure states the entanglement of modes is the sum of the binary entropies
 of the pair Schmidt weights cos^2(theta), sin^2(theta).  For isotropic mixed
-states each pair reduces to an effective two-qubit problem whose partial
-transpose is negative exactly when kappa > (1 - lambda0^2) / 2, which makes
-the per-pair test necessary and sufficient.
+states the test is the paper's pairwise criterion on the decomposed pairs:
+after the local mode transforms each pair is read as two qubits, whose
+partial transpose is negative exactly when kappa > (1 - lambda0^2) / 2.  That
+this pairwise test is exact for states with several pairs is open (ROADMAP
+item 2).
 """
 
 from __future__ import annotations
@@ -19,20 +21,24 @@ from .errors import InvalidInputError
 
 _LN2 = float(np.log(2.0))
 _PAIR_CONSTRAINT_TOL = 1e-9
+# Margin of the pair test over its threshold: absorbs float rounding of the
+# threshold and keeps the verdict equal to ``ppt_min_eigenvalue(...) < -1e-12``.
+_PPT_GUARD = 2e-12
 
 
 @dataclass
 class EntanglementReport:
     """Per-pair and aggregate entanglement data for one decomposition.
 
-    ``pair_entropies`` and ``total_modes_entropy`` (bits) are populated for
-    pure decompositions only.  ``negativity_sum`` adds up |min PT eigenvalue|
-    over NPT pairs; it is a convenience magnitude for mixed states, not a
-    measure with an operational definition here.
+    ``pair_entropies`` and ``total_modes_entropy`` (bits) are filled for pure
+    decompositions only; otherwise they are ``[]`` and ``None``.
+    ``negativity_sum`` adds up |min PT eigenvalue| over NPT pairs; it is a
+    convenience magnitude for mixed states, not a measure with an operational
+    definition here.
     """
 
     pair_entropies: list[float] = field(default_factory=list)
-    total_modes_entropy: float = 0.0
+    total_modes_entropy: float | None = None
     pair_npt_flags: list[bool] = field(default_factory=list)
     separable: bool = True
     negativity_sum: float = 0.0
@@ -52,19 +58,23 @@ def _clamped_lambda0(lambda0: float) -> float:
     return min(max(lambda0, 0.0), 1.0)
 
 
+def _ppt_threshold(lambda0: float) -> float:
+    """The kappa above which the partial transpose of a pair is negative."""
+    return 0.5 * (1.0 - lambda0**2)
+
+
 def ppt_pair_entangled(lambda0: float, kappa: float) -> bool:
     """Partial-transpose test for one pair: entangled iff kappa > (1 - lambda0^2)/2.
 
-    The bound is strict: kappa at the threshold counts as separable.  A 2e-12
-    guard absorbs float rounding of the threshold and keeps the verdict
-    equivalent to ``ppt_min_eigenvalue(...) < -1e-12``.
+    The pair is read as two qubits.  The bound is strict: kappa at the
+    threshold counts as separable, and a 2e-12 guard absorbs float rounding.
     """
     lambda0 = _clamped_lambda0(lambda0)
     if kappa < -1e-12 or kappa > lambda0 + 1e-9:
         raise InvalidInputError(
             f"kappa must satisfy 0 <= kappa <= lambda0, got kappa={kappa!r}, lambda0={lambda0!r}"
         )
-    return kappa > 0.5 * (1.0 - lambda0**2) + 2e-12
+    return kappa > _ppt_threshold(lambda0) + _PPT_GUARD
 
 
 def _check_pair_constraint(lambda0: float, lam: float, kappa: float):
@@ -114,34 +124,31 @@ def pure_mode_entanglement(decomp: ModewiseDecomposition) -> EntanglementReport:
     """
     if not decomp.pure:
         raise InvalidInputError(
-            f"entanglement of modes needs a pure decomposition, lambda0 = {decomp.lambda0!r}"
+            "entanglement of modes is defined here for pure states only, "
+            f"lambda0 = {decomp.lambda0!r}"
         )
     return isotropic_separability(decomp)
 
 
 def isotropic_separability(decomp: ModewiseDecomposition) -> EntanglementReport:
-    """Separability verdict for an isotropic decomposition.
+    """Pairwise separability verdict for an isotropic decomposition.
 
-    The state is separable across the bipartition iff every pair passes the
-    partial-transpose test.  Entropy fields are filled when the input happens
-    to be pure.
+    The state counts as separable across the bipartition iff every pair
+    passes the two-qubit partial-transpose test of ``ppt_pair_entangled``.
+    Entropy fields are filled when the input happens to be pure.
     """
-    report = _pair_report(decomp)
-    if decomp.pure:
-        report.pair_entropies = [binary_entropy(np.cos(p.theta) ** 2) for p in decomp.pairs]
-        report.total_modes_entropy = float(sum(report.pair_entropies))
-    return report
-
-
-def _pair_report(decomp: ModewiseDecomposition) -> EntanglementReport:
     lambda0 = _clamped_lambda0(decomp.lambda0)
+    threshold = _ppt_threshold(lambda0)
     flags, negativity = [], 0.0
     for pair in decomp.pairs:
         kappa = min(pair.kappa, lambda0)
-        flags.append(ppt_pair_entangled(lambda0, kappa))
-        # the negative PT eigenvalue, when there is one: (1 - lambda0^2)/4 - kappa/2
-        negativity += max(0.0, 0.5 * kappa - 0.25 * (1.0 - lambda0**2))
+        flags.append(kappa > threshold + _PPT_GUARD)
+        # the negative PT eigenvalue, when there is one: (threshold - kappa)/2
+        negativity += max(0.0, 0.5 * (kappa - threshold))
+    entropies = [binary_entropy(np.cos(p.theta) ** 2) for p in decomp.pairs] if decomp.pure else []
     return EntanglementReport(
+        pair_entropies=entropies,
+        total_modes_entropy=float(sum(entropies)) if decomp.pure else None,
         pair_npt_flags=flags,
         separable=not any(flags),
         negativity_sum=float(negativity),

@@ -11,13 +11,11 @@ order,
 so that |0...0> is the vacuum.  Each Majorana is a signed permutation of the
 basis, and every operator here acts through that one representation.  The
 dense Hamiltonian costs O(N^2 2^N) to build and O(4^N) memory, its
-eigensolve O(8^N) time; everything is capped at FERMI_MODEWISE_MAX_MODES
-(default 12) modes.
+eigensolve O(8^N) time; everything is capped at MODE_CAP = 12 modes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,36 +28,19 @@ from .gaussian import (
     Bipartition,
     CovarianceMatrix,
     QuadraticHamiltonian,
+    _check_mode_subset,
     quadrature_indices,
 )
 
-DEFAULT_MODE_CAP = 12
-MODE_CAP_ENV = "FERMI_MODEWISE_MAX_MODES"
+# Most modes of any dense route; at 12 the eigensolve alone takes minutes.
+MODE_CAP = 12
 # Smallest spectral gap of a dense ground state that counts as nondegenerate.
 _GAP_TOL = 1e-10
 
 
-def mode_cap() -> int:
-    """Current mode cap; the environment variable overrides the default."""
-    raw = os.environ.get(MODE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_MODE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"{MODE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InvalidInputError(f"{MODE_CAP_ENV} must be >= 1, got {cap}")
-    return cap
-
-
 def _check_cap(n_modes: int):
-    limit = mode_cap()
-    if n_modes > limit:
-        raise ResourceLimitError(
-            f"{n_modes} modes exceed the dense Fock-space cap of {limit}; "
-            f"set {MODE_CAP_ENV} to raise it"
-        )
+    if n_modes > MODE_CAP:
+        raise ResourceLimitError(f"{n_modes} modes exceed the dense Fock-space cap of {MODE_CAP}")
     if n_modes < 1:
         raise InvalidInputError(f"n_modes must be >= 1, got {n_modes}")
 
@@ -190,12 +171,8 @@ def reduced_density(state: FockState, modes) -> np.ndarray:
     reduce exactly like fermion modes rather than Jordan-Wigner qubits.
     """
     modes = sorted(int(m) for m in modes)
-    if len(set(modes)) != len(modes):
-        raise InvalidInputError(f"repeated mode index in {modes}")
     n = state.n_modes
-    for m in modes:
-        if not 0 <= m < n:
-            raise InvalidInputError(f"mode index {m} out of range for {n} modes")
+    _check_mode_subset(modes, n)
     traced = [m for m in range(n) if m not in set(modes)]
     occ = _occupations(n)
     traced_before = np.cumsum(occ * np.isin(range(n), traced)[:, None], axis=0)

@@ -232,14 +232,19 @@ def is_pure(state: CovarianceMatrix) -> bool:
     return lambda0 is not None and abs(lambda0 - 1.0) <= PURITY_TOL
 
 
-def restrict(state: CovarianceMatrix, modes) -> CovarianceMatrix:
-    """Reduced covariance matrix on a subset of modes, in the given order."""
-    modes = list(modes)
+def _check_mode_subset(modes: list, n_modes: int):
+    """Refuse a repeated index, or one outside 0..n_modes-1, in a list of modes."""
     if len(set(modes)) != len(modes):
         raise InvalidInputError(f"repeated mode index in {modes}")
     for i in modes:
-        if not 0 <= int(i) < state.n_modes:
-            raise InvalidInputError(f"mode index {i} out of range for {state.n_modes} modes")
+        if not 0 <= int(i) < n_modes:
+            raise InvalidInputError(f"mode index {i} out of range for {n_modes} modes")
+
+
+def restrict(state: CovarianceMatrix, modes) -> CovarianceMatrix:
+    """Reduced covariance matrix on a subset of modes, in the given order."""
+    modes = list(modes)
+    _check_mode_subset(modes, state.n_modes)
     q = quadrature_indices(modes)
     return CovarianceMatrix(state.matrix[np.ix_(q, q)])
 

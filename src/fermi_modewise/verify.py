@@ -15,11 +15,7 @@ import numpy as np
 
 from .canonical import is_orthogonal, williamson_form
 from .decompose import modewise_decompose, reconstruction_residual
-from .entanglement import (
-    binary_entropy,
-    ppt_min_eigenvalue,
-    pure_mode_entanglement,
-)
+from .entanglement import ppt_min_eigenvalue, pure_mode_entanglement
 from .errors import InvalidInputError, NotIsotropicError
 from .fock import (
     FockState,
@@ -33,7 +29,6 @@ from .fock import (
 )
 from .gaussian import (
     Bipartition,
-    CovarianceMatrix,
     QuadraticHamiltonian,
     diagonal_fcm,
     ground_state_fcm,
@@ -354,6 +349,7 @@ def run_all(max_modes: int = 6, trials: int = 20, seed: int = 7) -> list[CheckRe
             f"verify needs max_modes >= 2, trials >= 1 and seed >= 0, "
             f"got {max_modes}, {trials} and {seed}"
         )
+    _check_cap(max_modes)  # before any suite: the largest one builds max_modes-mode states
     fidelity, entropy = check_theorem_and_entropy(
         trials=trials, max_modes=max_modes, seed=seed
     )

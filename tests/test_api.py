@@ -1,6 +1,8 @@
-"""The public names, the CLI model kinds and the traced benchmark layers exist."""
+"""The public names, the CLI model kinds and the traced benchmark layers exist;
+no module imports a name it never reads."""
 
 import argparse
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -9,7 +11,8 @@ import fermi_modewise
 from fermi_modewise.cli import build_parser
 from fermi_modewise.models import MODEL_KINDS
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def test_public_names_resolve():
@@ -38,3 +41,23 @@ def test_model_kind_choices_are_the_model_table():
     for command in ("generate", "sweep"):
         kind = next(a for a in subparsers.choices[command]._actions if a.dest == "kind")
         assert tuple(kind.choices) == MODEL_KINDS
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names that a module imports and never reads (``__future__`` imports aside)."""
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(set(imported) - read)
+
+
+def test_no_unused_imports():
+    modules = [p for p in (ROOT / "src" / "fermi_modewise").glob("*.py") if p.name != "__init__.py"]
+    modules += sorted((ROOT / "tests").glob("*.py"))
+    unused = {p.name: names for p in modules if (names := unused_imports(p))}
+    assert unused == {}

@@ -12,7 +12,6 @@ from fermi_modewise import (
     haar_orthogonal,
     hamiltonian_to_majorana,
     is_orthogonal,
-    j_blocks,
     kitaev_hamiltonian,
     lambda_blocks,
     restrict,

@@ -293,6 +293,16 @@ def test_cli_exit_codes(capsys, tmp_path):
         ["ppt", "--lambda0", "0.5", "--kappas", ""],
         ["ppt", "--lambda0", "0.5", "--kappas", ","],
         ["verify", "--seed", "-1", "--max-modes", "2", "--trials", "1"],
+        ["verify", "--max-modes", "13"],
+        ["sweep", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
+         "--scan-cut", "--param", "mu", "--values", "1,2,3", "--cut", "9"],
+        ["sweep", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
+         "--param", "mu", "--values", "1", "--start", "0", "--stop", "1", "--num", "3",
+         "--cut", "2"],
+        ["sweep", "--kind", "random-pure", "--n", "1", "--seed", "1", "--scan-cut"],
+        ["sweep", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
+         "--param", "mu", "--start", "0", "--stop", "1", "--num", "1000000000000",
+         "--cut", "2"],
     ],
     ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec",
          "spec-not-object", "spec-parameters-not-object", "verify-one-mode",
@@ -304,7 +314,9 @@ def test_cli_exit_codes(capsys, tmp_path):
          "sweep-param-of-another-kind", "flag-the-kind-does-not-take",
          "spec-key-the-kind-does-not-take", "sweep-no-values", "sweep-no-values-cut-out-of-range",
          "sweep-mode-count-too-large", "spec-mode-count-too-large", "ppt-no-kappas",
-         "ppt-only-a-comma", "verify-negative-seed"],
+         "ppt-only-a-comma", "verify-negative-seed", "verify-above-mode-cap",
+         "sweep-scan-cut-with-sweep-flags", "sweep-values-and-range", "sweep-scan-cut-one-mode",
+         "sweep-num-too-large"],
 )
 def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, argv):
     data = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
@@ -442,9 +454,3 @@ def test_cli_verify_small(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("suites passed")
 
-
-def test_cli_respects_mode_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("FERMI_MODEWISE_MAX_MODES", "2")
-    code, _, err = run(capsys, "verify", "--max-modes", "4", "--trials", "2", "--seed", "7")
-    assert code == 1
-    assert "cap" in err

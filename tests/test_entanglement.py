@@ -5,6 +5,7 @@ from fermi_modewise import (
     Bipartition,
     CovarianceMatrix,
     InvalidInputError,
+    bcs_fcm,
     binary_entropy,
     isotropic_fcm,
     isotropic_separability,
@@ -153,12 +154,28 @@ def test_isotropic_separability_reports():
     assert report.separable
     assert not any(report.pair_npt_flags)
     assert report.negativity_sum == 0.0
+    assert report.total_modes_entropy is None
+    assert report.pair_entropies == []
 
     pure = CovarianceMatrix(pair_block(np.cos(0.5), np.sin(0.5)))
     decomp = modewise_decompose(pure, Bipartition((0,), (1,)))
     report = isotropic_separability(decomp)
     assert not report.separable
     assert report.total_modes_entropy > 0.0
+
+    # each flag is the one-pair test: kappa = lambda0 sin(2 theta) is 0.0899,
+    # 0.1006 and 0.887 at lambda0 = 0.9, around the threshold 0.095; below
+    # sqrt(2) - 1 no pair is NPT
+    pairs = bcs_fcm((0.05, 0.056, 0.7)).matrix
+    for lambda0, npt_count in ((0.3, 0), (0.9, 2), (1.0, 3)):
+        state = CovarianceMatrix(lambda0 * pairs)
+        decomp = modewise_decompose(state, Bipartition((0, 2, 4), (1, 3, 5)))
+        report = isotropic_separability(decomp)
+        assert report.pair_npt_flags == [
+            ppt_pair_entangled(lambda0, min(p.kappa, lambda0)) for p in decomp.pairs
+        ]
+        assert sum(report.pair_npt_flags) == npt_count
+        assert (report.total_modes_entropy is None) == (lambda0 < 1.0)
 
 
 def test_negativity_sum_of_npt_isotropic_states():

@@ -24,7 +24,7 @@ from fermi_modewise import (
     reduced_density,
     schmidt_entropy,
 )
-from fermi_modewise.fock import MODE_CAP_ENV, _majorana_action, mode_cap
+from fermi_modewise.fock import _majorana_action
 from fermi_modewise.models import kitaev_hamiltonian
 from fermi_modewise.verify import random_gaussian_state, random_quadratic_hamiltonian
 
@@ -90,16 +90,11 @@ def test_clifford_algebra_exhaustive():
             assert np.max(np.abs(anti - target)) < 1e-13
 
 
-def test_mode_cap(monkeypatch):
+def test_mode_cap():
     with pytest.raises(ResourceLimitError):
-        fcm_from_state(FockState.from_occupations([0] * (mode_cap() + 1)))
-    monkeypatch.setenv(MODE_CAP_ENV, "3")
-    assert mode_cap() == 3
+        fcm_from_state(FockState.from_occupations([0] * 13))
     with pytest.raises(ResourceLimitError):
-        dense_hamiltonian(QuadraticHamiltonian(np.eye(4), np.zeros((4, 4))))
-    monkeypatch.setenv(MODE_CAP_ENV, "not-a-number")
-    with pytest.raises(InvalidInputError):
-        mode_cap()
+        dense_hamiltonian(QuadraticHamiltonian(np.eye(13), np.zeros((13, 13))))
 
 
 def test_dense_hamiltonian_number_operator():
