@@ -24,7 +24,7 @@ from fermi_modewise import (
     reduced_density,
     schmidt_entropy,
 )
-from fermi_modewise.fock import _majorana_action
+from fermi_modewise.fock import _GAP_TOL, _majorana_action, _occupations
 from fermi_modewise.models import kitaev_hamiltonian
 from fermi_modewise.verify import random_gaussian_state, random_quadratic_hamiltonian
 
@@ -141,6 +141,44 @@ def test_dense_ground_state_trivial_cases():
     state, energy, _ = dense_ground_state(down)
     assert energy == pytest.approx(-6.0)
     assert abs(state.amplitudes[-1]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_dense_ground_state_takes_the_even_state_of_an_exact_zero_mode_manifold(n):
+    # mu = 0 leaves one exact Majorana zero mode pair: the even and odd ground
+    # states tie, and the rule picks the even one, the vacuum of the
+    # covariance route's modes
+    ham = kitaev_hamiltonian(n, 0.0, 1.0, 0.5)
+    state, _, degenerate = dense_ground_state(ham)
+    assert degenerate
+    odd = _occupations(n).sum(axis=0) % 2 == 1
+    assert np.all(state.amplitudes[odd] == 0.0)
+    fcm = fcm_from_state(state)
+    m = fcm.matrix
+    assert np.max(np.abs(m @ m + np.eye(2 * n))) <= 1e-12
+    assert np.max(np.abs(m - ground_state_fcm(ham).fcm.matrix)) <= 1e-10
+    half = Bipartition(tuple(range(n // 2)), tuple(range(n // 2, n)))
+    _, fidelity = reconstruct_state(modewise_decompose(fcm, half), state)
+    assert fidelity >= 1.0 - 1e-7
+
+
+def _full_solve_cases():
+    rng = np.random.default_rng(15)
+    cases = [pytest.param(random_quadratic_hamiltonian(n, rng), id=f"random-{n}") for n in range(1, 9)]
+    cases.append(pytest.param(QuadraticHamiltonian(np.zeros((2, 2)), np.zeros((2, 2))), id="flat-2"))
+    cases.append(pytest.param(kitaev_hamiltonian(7, 0.5, 1.0, 1.0), id="topological-7"))
+    cases.append(pytest.param(kitaev_hamiltonian(7, 2.0, 1.0, 1.0), id="critical-7"))
+    return cases
+
+
+@pytest.mark.parametrize("ham", _full_solve_cases())
+def test_dense_ground_state_matches_the_full_eigensolve(ham):
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(ham))
+    state, energy, degenerate = dense_ground_state(ham)
+    assert abs(energy - energies[0]) <= 1e-12 * max(1.0, abs(energies[0]))
+    assert degenerate == bool(energies[1] - energies[0] < _GAP_TOL)
+    if not degenerate:
+        assert abs(np.vdot(vectors[:, 0], state.amplitudes)) >= 1.0 - 1e-12
 
 
 def test_fcm_of_basis_states():
@@ -291,6 +329,15 @@ def test_single_quasiparticle_superposition_is_gaussian():
         amps[1 << i] = 1 / np.sqrt(3)
     w_state = FockState(3, amps)
     assert is_pure(fcm_from_state(w_state))
+
+
+def test_fock_state_honours_the_mode_cap():
+    with pytest.raises(ResourceLimitError):
+        FockState.from_occupations([0] * 13)
+    amps = np.zeros(2**13, dtype=complex)
+    amps[0] = 1.0
+    with pytest.raises(ResourceLimitError):
+        FockState(13, amps)
 
 
 def test_fock_state_validation():
