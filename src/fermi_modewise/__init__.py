@@ -19,9 +19,12 @@ from .canonical import (
 from .decompose import (
     EntangledPair,
     ModewiseDecomposition,
+    PairSpectrum,
+    PairValues,
     ResidualMode,
     modewise_decompose,
     pair_block,
+    pair_spectrum,
     reconstruction_residual,
 )
 from .entanglement import (
@@ -81,9 +84,12 @@ __all__ = [
     "williamson_form",
     "EntangledPair",
     "ModewiseDecomposition",
+    "PairSpectrum",
+    "PairValues",
     "ResidualMode",
     "modewise_decompose",
     "pair_block",
+    "pair_spectrum",
     "reconstruction_residual",
     "EntanglementReport",
     "binary_entropy",

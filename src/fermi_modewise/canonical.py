@@ -67,6 +67,17 @@ def antisymmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat - mat.T)
 
 
+def _chiral_block(mat: np.ndarray):
+    """The even-odd block ``mat[0::2, 1::2]`` of a chiral matrix, else None.
+
+    A matrix is chiral when every (even, even) and (odd, odd) entry is exactly
+    zero, as in the covariance and coupling matrices of real Hamiltonians.
+    """
+    if mat[0::2, 0::2].any() or mat[1::2, 1::2].any():
+        return None
+    return mat[0::2, 1::2]
+
+
 @dataclass
 class WilliamsonForm:
     """Orthogonal transform and eigenvalues of the antisymmetric normal form.
@@ -114,10 +125,9 @@ def williamson_form(mat: np.ndarray) -> WilliamsonForm:
     if dim == 0:
         return WilliamsonForm(np.zeros((0, 0)), np.zeros(0))
 
-    chiral = not (m[0::2, 0::2].any() or m[1::2, 1::2].any())
-    if chiral:
-        block = m[0::2, 1::2]
-    else:
+    block = _chiral_block(m)
+    chiral = block is not None
+    if not chiral:
         n, hi = dim // 2, dim - 1
         lwork = int(max(_GEHRD_LWORK(dim, lo=0, hi=hi)[0], _ORGHR_LWORK(dim, lo=0, hi=hi)[0]))
         h, tau, _ = _GEHRD(m, lo=0, hi=hi, lwork=lwork, overwrite_a=True)

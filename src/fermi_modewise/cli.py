@@ -17,7 +17,7 @@ import numpy as np
 
 from . import serialize
 from .canonical import williamson_form
-from .decompose import modewise_decompose, reconstruction_residual
+from .decompose import modewise_decompose, pair_spectrum, reconstruction_residual
 from .entanglement import isotropic_separability, ppt_pair_entangled, pure_mode_entanglement
 from .errors import (
     InvalidInputError,
@@ -173,12 +173,12 @@ def _cmd_entropy(args) -> int:
     partition = serialize.parse_partition(args.partition, state.n_modes)
     # Not isotropic means not pure; pure_mode_entanglement refuses the rest.
     try:
-        decomp = modewise_decompose(state, partition)
+        spectrum = pair_spectrum(state, partition)
     except NotIsotropicError as exc:
         raise InvalidInputError(
             f"entanglement of modes is defined here for pure states only; {exc}"
         ) from exc
-    report = pure_mode_entanglement(decomp)
+    report = pure_mode_entanglement(spectrum)
     if args.json:
         print(json.dumps(dataclasses.asdict(report), indent=1))
     else:
@@ -240,9 +240,9 @@ def _sweep_row(state: CovarianceMatrix, cut: int, value: float) -> dict:
     if not 1 <= cut <= n - 1:
         raise InvalidInputError(f"cut must lie in 1..{n - 1}, got {cut}")
     partition = Bipartition(tuple(range(cut)), tuple(range(cut, n)))
-    decomp = modewise_decompose(state, partition)
-    thetas = [p.theta for p in decomp.pairs]
-    entropy = isotropic_separability(decomp).total_modes_entropy
+    spectrum = pair_spectrum(state, partition)
+    thetas = [p.theta for p in spectrum.pairs]
+    entropy = isotropic_separability(spectrum).total_modes_entropy
     return {"value": value, "cut": cut, "thetas": thetas, "entropy": entropy}
 
 

@@ -18,6 +18,10 @@ Unitary rotations commute with J2, so they keep the local Williamson forms
 even where they mix nearly degenerate modes, as on area-law chain cuts with
 exponentially small couplings.  The one consistency check is that isotropy
 leaves no part of a cross block commuting with J2.
+
+The values alone need no transforms: the k are the singular values of the
+cross block and the l the Williamson eigenvalues of the smaller side, so
+``pair_spectrum`` reads the pairs from two or three value-only SVDs.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import lambda_blocks, williamson_form
+from .canonical import _chiral_block, lambda_blocks, williamson_form
 from .errors import InvalidInputError, NotIsotropicError, NumericalConsistencyError
 from .gaussian import (
     ISOTROPY_TOL,
@@ -97,6 +101,90 @@ class ModewiseDecomposition:
         return abs(self.lambda0 - 1.0) <= PURITY_TOL
 
 
+class PairValues(NamedTuple):
+    """Local eigenvalue, coupling and squeezing angle of one entangled pair."""
+
+    lam: float
+    kappa: float
+    theta: float
+
+
+@dataclass(frozen=True)
+class PairSpectrum:
+    """lambda0 and the pairs of a decomposition, by descending angle, without transforms."""
+
+    lambda0: float
+    pairs: list[PairValues]
+
+    @property
+    def pure(self) -> bool:
+        """Whether the state is pure: |lambda0 - 1| <= 1e-9, as ``is_pure``."""
+        return abs(self.lambda0 - 1.0) <= PURITY_TOL
+
+
+def _checked_lambda0(state: CovarianceMatrix, partition: Bipartition) -> float:
+    """lambda0 of an isotropic state that ``partition`` fits; raises otherwise."""
+    if partition.n_modes != state.n_modes:
+        raise InvalidInputError(
+            f"partition covers {partition.n_modes} modes but the state has {state.n_modes}"
+        )
+    lambda0 = isotropy_parameter(state)
+    if lambda0 is None:
+        raise NotIsotropicError(state.isotropy_deviation, ISOTROPY_TOL)
+    return lambda0
+
+
+def _check_commuting_part(worst: float):
+    """Refuse a cross block whose part commuting with J2 exceeds 1e-7."""
+    if worst > _COMMUTING_TOL:
+        raise NumericalConsistencyError(
+            f"cross-correlations keep a part commuting with J2 of {worst:.3e} > "
+            f"{_COMMUTING_TOL:.3e}; the input is not isotropic to working precision"
+        )
+
+
+def _svdvals(mat: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(mat, compute_uv=False)
+
+
+def pair_spectrum(state: CovarianceMatrix, partition: Bipartition) -> PairSpectrum:
+    """lambda0 and the (lambda, kappa, theta) of the pairs of ``modewise_decompose``.
+
+    Only singular values are computed.  The kappa are those of the cross block
+    M_AB, each appearing twice; when M is chiral, once in each of the N x N
+    blocks M_AB[0::2, 1::2] and M_AB[1::2, 0::2].  The lambda are the
+    Williamson eigenvalues of the smaller side, from its even-odd block when M
+    is chiral, and lambda^2 + kappa^2 = lambda0^2 pairs them ascending with
+    the kappa descending.  Taking lambda from sqrt(lambda0^2 - kappa^2) instead
+    would cancel for kappa near lambda0 and blur angles near pi/4.
+
+    The tolerances and errors are those of ``modewise_decompose``.  Couplings up
+    to 1e-8 are dropped, a state that is not isotropic raises
+    NotIsotropicError, and half the largest gap between the two copies of a
+    kappa, the part of a pair's cross block that commutes with J2, raises
+    NumericalConsistencyError beyond 1e-7.
+    """
+    lambda0 = _checked_lambda0(state, partition)
+
+    rows_a = quadrature_indices(partition.a_modes)
+    rows_b = quadrature_indices(partition.b_modes)
+    rows_small = rows_a if len(rows_a) <= len(rows_b) else rows_b
+    cross = state.matrix[np.ix_(rows_a, rows_b)]
+    local = state.matrix[np.ix_(rows_small, rows_small)]
+    if _chiral_block(state.matrix) is None:
+        sigma = _svdvals(cross)
+        kappas, copies = sigma[0::2], sigma[1::2]
+        lams = _svdvals(local)[0::2]
+    else:
+        kappas, copies = _svdvals(cross[0::2, 1::2]), _svdvals(cross[1::2, 0::2])
+        lams = _svdvals(local[0::2, 1::2])
+    _check_commuting_part(0.5 * float(np.max(np.abs(kappas - copies), initial=0.0)))
+    pairs = [PairValues(float(lam), float(kappa), float(0.5 * np.arctan2(kappa, lam)))
+             for lam, kappa in zip(lams[::-1], kappas) if kappa > _PAIR_TOL]
+    pairs.sort(key=lambda p: -p.theta)
+    return PairSpectrum(float(lambda0), pairs)
+
+
 def _complex_to_real(x: np.ndarray) -> np.ndarray:
     """Real 2n x 2n matrix of the complex n x n matrix acting on z_k = g_{2k} + i g_{2k+1}."""
     out = np.empty((2 * x.shape[0], 2 * x.shape[1]))
@@ -124,13 +212,7 @@ def modewise_decompose(state: CovarianceMatrix, partition: Bipartition) -> Modew
     part commuting with J2 beyond 1e-7, which signals inconsistent input
     rather than a representation choice.
     """
-    if partition.n_modes != state.n_modes:
-        raise InvalidInputError(
-            f"partition covers {partition.n_modes} modes but the state has {state.n_modes}"
-        )
-    lambda0 = isotropy_parameter(state)
-    if lambda0 is None:
-        raise NotIsotropicError(state.isotropy_deviation, ISOTROPY_TOL)
+    lambda0 = _checked_lambda0(state, partition)
 
     n_a, n_b = len(partition.a_modes), len(partition.b_modes)
     rows_a = quadrature_indices(partition.a_modes)
@@ -154,12 +236,7 @@ def modewise_decompose(state: CovarianceMatrix, partition: Bipartition) -> Modew
 
     a, b = rotated[0::2, 0::2], rotated[0::2, 1::2]
     c, d = rotated[1::2, 0::2], rotated[1::2, 1::2]
-    worst = float(np.max(0.5 * np.hypot(a + d, b - c), initial=0.0))
-    if worst > _COMMUTING_TOL:
-        raise NumericalConsistencyError(
-            f"cross-correlations keep a part commuting with J2 of {worst:.3e} > "
-            f"{_COMMUTING_TOL:.3e}; the input is not isotropic to working precision"
-        )
+    _check_commuting_part(float(np.max(0.5 * np.hypot(a + d, b - c), initial=0.0)))
 
     # Blocks [[p, q], [q, -p]] as p + iq; rotating A by i P^H and B by Q^T
     # turns C = P diag(kappa) Q^H into i diag(kappa), i.e. kappa * beta blocks.

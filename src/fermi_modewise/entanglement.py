@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from .decompose import ModewiseDecomposition
+from .decompose import ModewiseDecomposition, PairSpectrum
 from .errors import InvalidInputError
 
 _LN2 = float(np.log(2.0))
@@ -116,8 +116,8 @@ def ppt_min_eigenvalue(lambda0: float, lam: float, kappa: float) -> float:
     return float(np.linalg.eigvalsh(swapped)[0])
 
 
-def pure_mode_entanglement(decomp: ModewiseDecomposition) -> EntanglementReport:
-    """Entanglement of modes of a pure decomposition, in bits.
+def pure_mode_entanglement(decomp: ModewiseDecomposition | PairSpectrum) -> EntanglementReport:
+    """Entanglement of modes of a pure decomposition or pair spectrum, in bits.
 
     Each pair contributes the binary entropy of its Schmidt weight
     cos^2(theta); decoupled modes are local vacua and contribute nothing.
@@ -130,12 +130,14 @@ def pure_mode_entanglement(decomp: ModewiseDecomposition) -> EntanglementReport:
     return isotropic_separability(decomp)
 
 
-def isotropic_separability(decomp: ModewiseDecomposition) -> EntanglementReport:
+def isotropic_separability(decomp: ModewiseDecomposition | PairSpectrum) -> EntanglementReport:
     """Pairwise separability verdict for an isotropic decomposition.
 
     The state counts as separable across the bipartition iff every pair
     passes the two-qubit partial-transpose test of ``ppt_pair_entangled``.
-    Entropy fields are filled when the input happens to be pure.
+    Entropy fields are filled when the input happens to be pure.  Only
+    ``lambda0``, ``pure`` and each pair's kappa and theta are read, so a
+    ``PairSpectrum`` gives the report of the decomposition, up to rounding.
     """
     lambda0 = _clamped_lambda0(decomp.lambda0)
     threshold = _ppt_threshold(lambda0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .canonical import antisymmetrize, j_blocks, lambda_blocks, williamson_form
+from .canonical import _chiral_block, antisymmetrize, j_blocks, lambda_blocks, williamson_form
 from .errors import InvalidInputError
 
 _POTRF = get_lapack_funcs(("potrf",), dtype=np.float64)[0]
@@ -36,6 +36,9 @@ class CovarianceMatrix:
     1e-12) and forms M^2 once.  It rejects unphysical matrices, whose
     Williamson eigenvalues exceed 1 + 1e-9, and keeps the isotropy fit
     ``lambda0_sq`` = -tr(M^2) / 2N and ``isotropy_deviation`` = max|M^2 + lambda0_sq|.
+    A chiral M, zero at every (even, even) and (odd, odd) entry, squares to
+    diag(-B B^T, -B^T B) in even-odd order with B = M[0::2, 1::2]: two N x N
+    products and two N x N Cholesky factorizations replace the 2N x 2N ones.
     Two states are equal iff their matrices are equal entrywise.
     """
 
@@ -49,17 +52,27 @@ class CovarianceMatrix:
         if dim % 2:
             raise InvalidInputError(f"covariance matrix dimension must be even, got {dim}")
         m.flags.writeable = False
-        # M^2 has eigenvalues -l_k^2; its diagonal is shifted in place.
+        # M^2 has eigenvalues -l_k^2; a chiral M squares blockwise, with
+        # M[1::2, 0::2] = -B^T.
+        block = _chiral_block(m)
         with np.errstate(over="ignore", invalid="ignore"):
-            msq = m @ m
-            diagonal = msq.reshape(-1)[:: dim + 1]
-            lam0_sq = -float(np.trace(msq)) / max(dim, 1)
-            diagonal += lam0_sq
-            deviation = float(max(msq.max(initial=0.0), -msq.min(initial=0.0)))
-            # Every l_k <= 1 + tol iff (1 + tol)^2 + M^2 is positive semidefinite;
-            # entries that overflow M^2 leave the deviation non-finite.
-            diagonal += (1.0 + PHYSICALITY_TOL) ** 2 - lam0_sq
-        if not np.isfinite(deviation) or _POTRF(msq.T, overwrite_a=True, clean=False)[1]:
+            if block is None:
+                squares = [m @ m]
+            else:
+                squares = [block @ m[1::2, 0::2], m[1::2, 0::2] @ block]
+            lam0_sq = -sum(float(np.trace(sq)) for sq in squares) / max(dim, 1)
+            deviations = []
+            for sq in squares:
+                # Each diagonal is shifted in place.
+                diagonal = sq.reshape(-1)[:: sq.shape[0] + 1]
+                diagonal += lam0_sq
+                deviations.append(max(sq.max(initial=0.0), -sq.min(initial=0.0)))
+                # Every l_k <= 1 + tol iff (1 + tol)^2 + M^2 is positive semidefinite.
+                diagonal += (1.0 + PHYSICALITY_TOL) ** 2 - lam0_sq
+            # np.max keeps a NaN, so entries that overflow M^2 leave it non-finite.
+            deviation = float(np.max(deviations))
+        if not np.isfinite(deviation) or any(
+                _POTRF(sq.T, overwrite_a=True, clean=False)[1] for sq in squares):
             # The singular values, the Williamson eigenvalues twice, word the error.
             sigma = np.linalg.svd(m, compute_uv=False)
             bad = sigma[sigma > 1.0 + PHYSICALITY_TOL]
@@ -119,13 +132,10 @@ class QuadraticHamiltonian:
 
 @dataclass
 class MajoranaHamiltonian:
-    """Quadrature form (i/4) g^T h g + offset of a quadratic Hamiltonian."""
+    """Quadrature form (i/4) g^T h g + offset of a quadratic Hamiltonian, h real antisymmetric."""
 
     coupling: np.ndarray
     offset: float
-
-    def __post_init__(self):
-        self.coupling = antisymmetrize(self.coupling)
 
 
 @dataclass
@@ -158,33 +168,38 @@ def quadrature_indices(modes) -> np.ndarray:
     return np.column_stack((2 * modes, 2 * modes + 1)).reshape(-1)
 
 
-# Twice the coefficients of b_i^dag and b_i on the quadratures (g_2i, g_2i+1).
-_CRE = np.array([1.0, 1.0j])
-_ANN = _CRE.conj()
-
-
 def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> MajoranaHamiltonian:
     """Rewrite a quadratic Hamiltonian as (i/4) g^T h g + offset.
 
-    Uses b_i = (g_{2i} - i g_{2i+1}) / 2; ``h`` is real antisymmetric and the
-    offset collects the normal-ordering constant.
+    Uses b_i = (g_{2i} - i g_{2i+1}) / 2; ``h`` is real and exactly
+    antisymmetric, and the offset collects the normal-ordering constant.
     """
     # Each term C_ij b_i^dag b_j, A_ij b_i^dag b_j^dag and -A*_ij b_i b_j adds
     # its coefficient times the outer product of the two operators' quadrature
-    # coefficients to the 2x2 mode block (i, j) of the quadrature form.
-    quad = 0.25 * (
-        np.kron(ham.hopping, np.outer(_CRE, _ANN))
-        + np.kron(ham.pairing, np.outer(_CRE, _CRE))
-        - np.kron(ham.pairing.conj(), np.outer(_ANN, _ANN))
-    )
-    offset = float(np.trace(quad).real)
-    anti = 0.5 * (quad - quad.T)
-    residual = np.max(np.abs(anti.real)) if anti.size else 0.0
+    # coefficients, [[1, -i], [i, 1]], [[1, i], [i, -1]] and [[1, -i], [-i, -1]],
+    # to the 2x2 mode block (i, j) of the quadrature form.  With C = c + ic'
+    # and A = a + ia', the real and imaginary parts of four times the form are
+    # these N x N blocks [p][q] = quad[p::2, q::2], summed term by term.
+    c, c_im = ham.hopping.real, ham.hopping.imag
+    a, a_im = ham.pairing.real, ham.pairing.imag
+    real = [[(c + a) - a, (c_im - a_im) + a_im], [(-c_im - a_im) + a_im, (c - a) + a]]
+    imag = [[(c_im + a_im) + a_im, (a - c) + a], [(c + a) + a, (c_im - a_im) - a_im]]
+    coupling = np.empty((2 * ham.n_modes, 2 * ham.n_modes))
+    residual = 0.0
+    for p in (0, 1):
+        for q in (0, 1):
+            # h = 2 Im(quad - quad^T), and quad - quad^T must be imaginary
+            coupling[p::2, q::2] = 0.5 * (imag[p][q] - imag[q][p].T)
+            residual = max(residual, 0.125 * float(
+                np.max(np.abs(real[p][q] - real[q][p].T), initial=0.0)))
     if residual > 1e-10:
         raise InvalidInputError(
             f"hamiltonian does not reduce to a real quadrature form (residual {residual:.3e})"
         )
-    return MajoranaHamiltonian(4.0 * anti.imag, offset)
+    # The offset is Re tr(quad), summed as the complex trace sums it.
+    diagonal = np.zeros(2 * ham.n_modes, dtype=complex)
+    diagonal.real[0::2], diagonal.real[1::2] = np.diagonal(real[0][0]), np.diagonal(real[1][1])
+    return MajoranaHamiltonian(coupling, 0.25 * float(diagonal.sum().real))
 
 
 @dataclass
@@ -200,20 +215,30 @@ def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundStateFCM:
     """Ground-state covariance matrix of a quadratic Hamiltonian.
 
     With O h O^T = diag(e_k J2), e_k >= 0, the minimizing pure state is the
-    vacuum of the transformed modes: M = O^T diag(J2) O, with ground energy
-    offset - sum(e_k) / 2.  Any e_k <= 1e-8 flags a (nearly) degenerate
-    ground manifold; the returned M is still deterministic.
+    vacuum of the transformed modes: M = O^T diag(J2) O = X^T - X with
+    X = O[0::2]^T O[1::2], and the ground energy is offset - sum(e_k) / 2.
+    Any e_k <= 1e-8 flags a (nearly) degenerate ground manifold; the returned
+    M is still deterministic.
 
     A real Hamiltonian (real C and A) has a chiral coupling h, zero at every
-    (even, even) and (odd, odd) entry, and its M is then exactly chiral too,
-    so the Williamson forms of M and of its restrictions take the one-SVD
-    route of ``williamson_form``.
+    (even, even) and (odd, odd) entry.  Then the only nonzero block of X is
+    X[1::2, 0::2] = O[0::2, 1::2]^T O[1::2, 0::2], one N x N product, and M is
+    exactly chiral too, so the Williamson forms of M and of its restrictions,
+    and the constructor's M^2, take the N x N routes.
     """
     maj = hamiltonian_to_majorana(ham)
     form = williamson_form(maj.coupling)
-    # O^T diag(J2) O = X^T - X with X = sum_k O[2k]^T O[2k+1]
-    x = form.orthogonal[0::2].T @ form.orthogonal[1::2]
-    fcm = CovarianceMatrix(x.T - x)
+    o = form.orthogonal
+    if _chiral_block(maj.coupling) is None:
+        x = o[0::2].T @ o[1::2]
+        matrix = x.T - x
+    else:
+        x = o[0::2, 1::2].T @ o[1::2, 0::2]
+        matrix = np.zeros_like(o)
+        # X^T - X entry by entry; 0.0 - x keeps the sign of X^T - X at exact zeros.
+        matrix[0::2, 1::2] = x.T
+        matrix[1::2, 0::2] = 0.0 - x
+    fcm = CovarianceMatrix(matrix)
     energy = maj.offset - 0.5 * float(np.sum(form.lambdas))
     degenerate = bool(np.any(form.lambdas <= _DEGENERACY_TOL))
     return GroundStateFCM(fcm, energy, degenerate)

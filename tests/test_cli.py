@@ -7,6 +7,7 @@ import pytest
 
 from fermi_modewise import (
     cli,
+    decompose,
     diagonal_fcm,
     isotropic_fcm,
     modewise_decompose,
@@ -23,6 +24,7 @@ from fermi_modewise.serialize import (
     parse_partition,
     write_fcm,
 )
+from test_decompose import commuting_cross_block_state
 
 
 def run(capsys, *argv):
@@ -367,6 +369,38 @@ def test_cli_sweep_cut_scan_builds_the_model_once(capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert len(out.strip().splitlines()) == 1 + 5  # header, cuts 1..5
+
+
+def test_cli_sweep_and_entropy_read_values_only(capsys, tmp_path, monkeypatch):
+    # sweep rows and entropy need no transforms; decompose writes them
+    calls = []
+
+    def counting_decompose(state, partition):
+        calls.append(partition)
+        return modewise_decompose(state, partition)
+
+    for module in (cli, decompose):
+        monkeypatch.setattr(module, "modewise_decompose", counting_decompose)
+    chain = ["--kind", "kitaev", "--n", "6", "--mu", "0.5", "--t", "1", "--delta", "1"]
+    path = tmp_path / "chain.json"
+    for argv in (["sweep", *chain, "--scan-cut"],
+                 ["sweep", *chain, "--param", "mu", "--values", "0.5,3", "--cut", "3"],
+                 ["generate", *chain, "--out", str(path)],
+                 ["entropy", "--input", str(path), "--partition", "1,2;3,4,5,6"]):
+        assert run(capsys, *argv)[0] == 0
+    assert calls == []
+    code, _, _ = run(capsys, "decompose", "--input", str(path), "--partition", "1,2;3,4,5,6")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_cli_entropy_of_inconsistent_cross_block_exits_2(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(fcm_to_dict(commuting_cross_block_state())))
+    code, out, err = run(capsys, "entropy", "--input", str(path), "--partition", "1;2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "commuting with J2" in err
 
 
 def test_cli_sweep_cut_scan(capsys):

@@ -26,6 +26,7 @@ from fermi_modewise import (
     lambda_blocks,
     modewise_decompose,
     pair_block,
+    pair_spectrum,
     pure_mode_entanglement,
     quadrature_indices,
     random_pure_fcm,
@@ -343,15 +344,35 @@ def test_random_state_exact_half_cut_with_tiny_coupling():
     assert_matches_cross_block(random_pure_fcm(100, 6279), 50)
 
 
-def test_cross_block_commuting_with_j2_raises():
-    # a pair at lambda0 = 1e-3 whose cross block gains a part commuting with
-    # J2: M^2 stays within the isotropy tolerance, the block structure fails
+def commuting_cross_block_state() -> CovarianceMatrix:
+    """A pair at lambda0 = 1e-3 whose cross block gains a part commuting with J2.
+
+    M^2 stays within the isotropy tolerance, the block structure fails.  The
+    singular values of the cross block split by twice the added 2e-6.
+    """
     lambda0, lam, extra = 1e-3, 0.5e-3, 2e-6
     matrix = pair_block(lam, np.sqrt(lambda0**2 - lam**2))
     matrix[0:2, 2:4] += extra * np.eye(2)
     matrix[2:4, 0:2] -= extra * np.eye(2)
-    with pytest.raises(NumericalConsistencyError, match="commuting with J2"):
-        modewise_decompose(CovarianceMatrix(matrix), Bipartition((0,), (1,)))
+    return CovarianceMatrix(matrix)
+
+
+def chiral_commuting_cross_block_state() -> CovarianceMatrix:
+    """As above, but the part is added to one coupling entry, which keeps M chiral."""
+    lambda0, lam, extra = 1e-3, 0.5e-3, 4e-6
+    matrix = pair_block(lam, np.sqrt(lambda0**2 - lam**2))
+    matrix[0, 3] += extra
+    matrix[3, 0] -= extra
+    return CovarianceMatrix(matrix)
+
+
+def test_cross_block_commuting_with_j2_raises():
+    # the values-only check reads the same part: half the split of the two
+    # copies of kappa, from the full cross block or from its two chiral blocks
+    for state in (commuting_cross_block_state(), chiral_commuting_cross_block_state()):
+        for decompose in (modewise_decompose, pair_spectrum):
+            with pytest.raises(NumericalConsistencyError, match="commuting with J2 of 2.000e-06"):
+                decompose(state, Bipartition((0,), (1,)))
 
 
 def test_chain_results_do_not_depend_on_blas_threads():

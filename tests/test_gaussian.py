@@ -24,6 +24,7 @@ from fermi_modewise import (
     lambda_blocks,
     modewise_decompose,
     pair_block,
+    pair_spectrum,
     random_pure_fcm,
     restrict,
     williamson_form,
@@ -61,6 +62,15 @@ def test_majorana_form_matches_mode_products(n):
         coupling, offset = _majorana_by_mode_products(ham)
         assert np.max(np.abs(maj.coupling - coupling)) <= 1e-15
         assert abs(maj.offset - offset) <= 1e-15
+
+
+def test_majorana_coupling_is_exactly_antisymmetric():
+    rng = np.random.default_rng(44)
+    hams = [random_quadratic_hamiltonian(n, rng) for n in (1, 3, 16)]
+    hams += [kitaev_hamiltonian(n, 0.5, 1.0, 0.7) for n in (1, 16)]
+    for ham in hams:
+        h = hamiltonian_to_majorana(ham).coupling
+        assert np.array_equal(h, -h.T)
 
 
 def test_majorana_form_zero_hamiltonian():
@@ -112,6 +122,16 @@ def test_ground_state_is_pure_and_matches_dense_oracle():
     assert np.max(np.abs(ground.fcm.matrix - fcm_from_state(state).matrix)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 256])
+def test_chain_ground_state_is_the_dense_product_bit_for_bit(n):
+    # M = X^T - X with X = O[0::2]^T O[1::2], formed as one dense 2N x 2N product
+    for mu, delta in ((0.5, 1.0), (2.0, 1.0), (0.0, 0.0)):
+        ham = kitaev_hamiltonian(n, mu, 1.0, delta)
+        o = williamson_form(hamiltonian_to_majorana(ham).coupling).orthogonal
+        x = o[0::2].T @ o[1::2]
+        assert np.array_equal(ground_state_fcm(ham).fcm.matrix, CovarianceMatrix(x.T - x).matrix)
+
+
 def test_ground_state_degeneracy_flag():
     flat = QuadraticHamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
     assert ground_state_fcm(flat).degenerate
@@ -130,15 +150,18 @@ def test_is_pure():
                                            (1 - 3e-9, False), (0.5, False)])
 def test_is_pure_is_the_purity_of_the_decomposition(lambda0, pure):
     state = isotropic_fcm(3, lambda0, 2)
-    assert is_pure(state) == modewise_decompose(state, Bipartition((0,), (1, 2))).pure == pure
+    part = Bipartition((0,), (1, 2))
+    assert is_pure(state) == modewise_decompose(state, part).pure == pure
+    assert pair_spectrum(state, part).pure == pure
 
 
 def test_not_isotropic_is_not_pure_and_reports_the_stored_deviation():
     state = diagonal_fcm([0.9, 0.3])
     assert not is_pure(state)
-    with pytest.raises(NotIsotropicError) as raised:
-        modewise_decompose(state, Bipartition((0,), (1,)))
-    assert raised.value.deviation == state.isotropy_deviation
+    for decompose in (modewise_decompose, pair_spectrum):
+        with pytest.raises(NotIsotropicError) as raised:
+            decompose(state, Bipartition((0,), (1,)))
+        assert raised.value.deviation == state.isotropy_deviation
 
 
 def test_isotropy_fit_is_stored_at_construction():
@@ -148,6 +171,20 @@ def test_isotropy_fit_is_stored_at_construction():
     assert state.lambda0_sq == lam0_sq
     assert state.isotropy_deviation == float(np.max(np.abs(msq + lam0_sq * np.eye(8))))
     assert isotropy_parameter(state) == abs(float(np.sqrt(lam0_sq)))
+
+
+@pytest.mark.parametrize("state", [
+    diagonal_fcm([0.9, 0.3, 0.5]),
+    ground_state_fcm(kitaev_hamiltonian(16, 0.5, 1.0, 1.0)).fcm,
+    CovarianceMatrix(0.6 * ground_state_fcm(kitaev_hamiltonian(9, 2.0, 1.0, 0.3)).fcm.matrix),
+], ids=["diagonal", "chain", "scaled-chain"])
+def test_chiral_isotropy_fit_matches_the_full_square(state):
+    # chiral M square blockwise; the fit must agree with the one of M @ M
+    msq = state.matrix @ state.matrix
+    lam0_sq = -float(np.trace(msq)) / msq.shape[0]
+    deviation = float(np.max(np.abs(msq + lam0_sq * np.eye(msq.shape[0]))))
+    assert state.lambda0_sq == pytest.approx(lam0_sq, abs=1e-15)
+    assert state.isotropy_deviation == pytest.approx(deviation, abs=1e-15)
 
 
 def test_covariance_matrix_is_frozen_and_read_only():

@@ -1,17 +1,34 @@
 """Known physics of open Kitaev chains, read off the modewise decomposition."""
 
-import numpy as np
+import functools
 
-from fermi_modewise import Bipartition, ground_state_fcm, kitaev_hamiltonian, modewise_decompose
+import numpy as np
+import pytest
+
+from fermi_modewise import (
+    Bipartition,
+    ground_state_fcm,
+    kitaev_hamiltonian,
+    modewise_decompose,
+    pair_spectrum,
+    pure_mode_entanglement,
+)
 
 N = 128
 
 
-def _mid_cut_thetas(mu):
+@functools.lru_cache(maxsize=None)
+def _mid_cut(mu):
+    """The ground state and its mid-cut decomposition and pair spectrum."""
     ground = ground_state_fcm(kitaev_hamiltonian(N, mu, 1.0, 1.0))
     half = Bipartition(tuple(range(N // 2)), tuple(range(N // 2, N)))
-    thetas = np.array([p.theta for p in modewise_decompose(ground.fcm, half).pairs])
-    return ground, thetas
+    return ground, (modewise_decompose(ground.fcm, half), pair_spectrum(ground.fcm, half))
+
+
+def _mid_cut_thetas(mu):
+    """The ground state and the mid-cut angles of the full and the values-only route."""
+    ground, routes = _mid_cut(mu)
+    return ground, [np.array([p.theta for p in route.pairs]) for route in routes]
 
 
 def test_topological_chain_has_one_majorana_edge_pair():
@@ -19,11 +36,20 @@ def test_topological_chain_has_one_majorana_edge_pair():
     # form a zero mode, so the ground manifold is degenerate, and the mid cut
     # splits the edge pair into one maximally entangled pair (theta = pi/4).
     # The edge splitting is finite-size: at N = 64 the pair is 1.4e-6 off pi/4.
-    ground, thetas = _mid_cut_thetas(0.5)
+    ground, routes = _mid_cut_thetas(0.5)
     assert ground.degenerate
-    assert np.sum(np.abs(thetas - np.pi / 4) <= 1e-9) == 1
+    for thetas in routes:
+        assert np.sum(np.abs(thetas - np.pi / 4) <= 1e-9) == 1
 
 
 def test_trivial_chain_has_no_maximally_entangled_pair():
-    _, thetas = _mid_cut_thetas(3.0)
-    assert np.sum(np.abs(thetas - np.pi / 4) <= 1e-9) == 0
+    _, routes = _mid_cut_thetas(3.0)
+    for thetas in routes:
+        assert np.sum(np.abs(thetas - np.pi / 4) <= 1e-9) == 0
+
+
+@pytest.mark.parametrize("mu, entropy", [(0.5, 1.0681108421216001), (3.0, 0.41594530152505826)])
+def test_mid_cut_entropy_is_the_readme_scan_value(mu, entropy):
+    # the cut = 64 row of the README's --scan-cut example, in bits
+    for route in _mid_cut(mu)[1]:
+        assert pure_mode_entanglement(route).total_modes_entropy == pytest.approx(entropy, abs=1e-12)
