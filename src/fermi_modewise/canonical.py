@@ -51,20 +51,28 @@ def antisymmetrize(mat: np.ndarray) -> np.ndarray:
 
     Entries must be finite, and the deviation ``max|mat + mat^T|`` must not
     exceed 1e-12; larger violations indicate the caller did not pass an
-    antisymmetric matrix.
+    antisymmetric matrix.  One fused check forms mat + mat^T once and takes
+    its max and -min as the deviation: a NaN or inf entry always leaves it
+    non-finite, and only then are the entries tested, to word the error.
+    The result is written into that same buffer, a new array, and its bits
+    are those of ``0.5 * (mat - mat^T)``.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise InvalidInputError("matrix has non-finite entries")
-    deviation = np.max(np.abs(mat + mat.T)) if mat.size else 0.0
-    if deviation > _ANTISYMMETRY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = mat + mat.T
+    deviation = max(out.max(), -out.min()) if mat.size else 0.0
+    if not deviation <= _ANTISYMMETRY_TOL:
+        if not np.isfinite(mat).all():
+            raise InvalidInputError("matrix has non-finite entries")
         raise InvalidInputError(
             f"matrix is not antisymmetric: max|M + M^T| = {deviation:.3e} > "
             f"{_ANTISYMMETRY_TOL:.3e}"
         )
-    return 0.5 * (mat - mat.T)
+    np.subtract(mat, mat.T, out=out)
+    out *= 0.5
+    return out
 
 
 def _chiral_block(mat: np.ndarray):

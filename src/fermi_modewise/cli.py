@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 
@@ -280,10 +281,13 @@ _COMMANDS = {
 }
 
 
+_parser = functools.cache(build_parser)  # argparse keeps no state between parses
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code; the parser is built once per process."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (InvalidInputError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,13 +53,14 @@ class CovarianceMatrix:
             raise InvalidInputError(f"covariance matrix dimension must be even, got {dim}")
         m.flags.writeable = False
         # M^2 has eigenvalues -l_k^2; a chiral M squares blockwise, with
-        # M[1::2, 0::2] = -B^T.
+        # M[1::2, 0::2] = -B^T, each copied once rather than once per product.
         block = _chiral_block(m)
         with np.errstate(over="ignore", invalid="ignore"):
             if block is None:
                 squares = [m @ m]
             else:
-                squares = [block @ m[1::2, 0::2], m[1::2, 0::2] @ block]
+                b, minus_bt = np.ascontiguousarray(block), np.ascontiguousarray(m[1::2, 0::2])
+                squares = [b @ minus_bt, minus_bt @ b]
             lam0_sq = -sum(float(np.trace(sq)) for sq in squares) / max(dim, 1)
             deviations = []
             for sq in squares:
@@ -180,18 +181,20 @@ def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> MajoranaHamiltonian:
     # to the 2x2 mode block (i, j) of the quadrature form.  With C = c + ic'
     # and A = a + ia', the real and imaginary parts of four times the form are
     # these N x N blocks [p][q] = quad[p::2, q::2], summed term by term.
-    c, c_im = ham.hopping.real, ham.hopping.imag
-    a, a_im = ham.pairing.real, ham.pairing.imag
+    # Contiguous copies of the parts: the views of the complex arrays are strided.
+    c, c_im, a, a_im = (np.ascontiguousarray(part) for part in (
+        ham.hopping.real, ham.hopping.imag, ham.pairing.real, ham.pairing.imag))
     real = [[(c + a) - a, (c_im - a_im) + a_im], [(-c_im - a_im) + a_im, (c - a) + a]]
     imag = [[(c_im + a_im) + a_im, (a - c) + a], [(c + a) + a, (c_im - a_im) - a_im]]
     coupling = np.empty((2 * ham.n_modes, 2 * ham.n_modes))
-    residual = 0.0
     for p in (0, 1):
         for q in (0, 1):
-            # h = 2 Im(quad - quad^T), and quad - quad^T must be imaginary
+            # h = 2 Im(quad - quad^T)
             coupling[p::2, q::2] = 0.5 * (imag[p][q] - imag[q][p].T)
-            residual = max(residual, 0.125 * float(
-                np.max(np.abs(real[p][q] - real[q][p].T), initial=0.0)))
+    # quad - quad^T must be imaginary; its real (1, 0) block is minus the
+    # transpose of the (0, 1) block, so three blocks are checked.
+    residual = 0.125 * max(float(np.max(np.abs(real[p][q] - real[q][p].T), initial=0.0))
+                           for p, q in ((0, 0), (0, 1), (1, 1)))
     if residual > 1e-10:
         raise InvalidInputError(
             f"hamiltonian does not reduce to a real quadrature form (residual {residual:.3e})"

@@ -41,10 +41,10 @@ def kitaev_hamiltonian(n_sites: int, mu: float, t: float, delta: float) -> Quadr
         raise InvalidInputError(f"n_sites must be >= 1, got {n_sites}")
     hopping = -mu * np.eye(n_sites, dtype=complex)
     pairing = np.zeros((n_sites, n_sites), dtype=complex)
-    for i in range(n_sites - 1):
-        hopping[i, i + 1] = hopping[i + 1, i] = -t
-        pairing[i, i + 1] = delta
-        pairing[i + 1, i] = -delta
+    bond = np.arange(n_sites - 1)
+    hopping[bond, bond + 1] = hopping[bond + 1, bond] = -t
+    pairing[bond, bond + 1] = delta
+    pairing[bond + 1, bond] = -delta
     return QuadraticHamiltonian(hopping, pairing)
 
 

@@ -208,6 +208,22 @@ def test_antisymmetrize_tolerance():
         antisymmetrize(np.array([[0.0, 1.0], [-1.0 + 1e-3, 0.0]]))
     with pytest.raises(InvalidInputError):
         antisymmetrize(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    # The bits are those of 0.5 (M - M^T), signed zeros included, in a new
+    # array; the input is left as it was.
+    mat = np.array([[-0.0, -0.0, 0.5], [-0.0, 0.0, -0.0], [-0.5 + 5e-13, 0.0, -0.0]])
+    before = mat.copy()
+    out = antisymmetrize(mat)
+    expected = 0.5 * (mat - mat.T)
+    assert out.tobytes() == expected.tobytes()
+    assert mat.tobytes() == before.tobytes()
+    assert not np.shares_memory(out, mat)
+    with pytest.raises(InvalidInputError, match="non-finite entries"):
+        antisymmetrize(np.array([[0.0, np.inf], [-1.0, 0.0]]))
+    # Finite entries whose sum overflows are not antisymmetric, not non-finite.
+    with pytest.raises(InvalidInputError, match="not antisymmetric"):
+        antisymmetrize(np.array([[0.0, 1e308], [1e308, 0.0]]))
+    with pytest.raises(InvalidInputError, match="not antisymmetric"):
+        antisymmetrize(np.array([[0.0, -1e308], [-1e308, 0.0]]))
 
 
 def test_is_orthogonal():

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fermi_modewise
 from fermi_modewise import (
     cli,
     decompose,
@@ -470,6 +474,25 @@ def test_cli_sweep_determinism(capsys):
     assert code == 0
     code, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_cli_shared_parser_leaks_no_state_between_calls(capsys):
+    # cli_main reuses one parser per process: a failed parse and a parameter
+    # sweep must leave nothing that the next call reads, so a --scan-cut
+    # without --cut still passes the flag refusal and prints what a fresh
+    # process prints.
+    chain = ["--kind", "kitaev", "--n", "6", "--mu", "0.5", "--t", "1", "--delta", "1"]
+    assert run(capsys, "sweep", *chain, "--no-such-flag")[0] == 1
+    assert run(capsys, "sweep", *chain, "--param", "mu", "--values", "0.5", "--cut", "2")[0] == 0
+    code, out, err = run(capsys, "sweep", *chain, "--scan-cut")
+    assert (code, err) == (0, "")
+    package_root = str(Path(fermi_modewise.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-m", "fermi_modewise.cli", "sweep", *chain, "--scan-cut"],
+                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                           timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    assert out == fresh.stdout
 
 
 def test_cli_generate_from_spec_json(capsys, tmp_path):

@@ -98,6 +98,14 @@ def test_hamiltonian_validation():
         QuadraticHamiltonian(np.zeros((2, 2)), [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(InvalidInputError):
         QuadraticHamiltonian([[np.inf]], [[0.0]])
+    # A hopping made non-hermitian after validation fails the real-form
+    # residual: through its real part in the (0, 0) and (1, 1) quadrature
+    # blocks, through its imaginary part in the (0, 1) and (1, 0) blocks.
+    for bump in (1e-6, 1e-6j):
+        ham = QuadraticHamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
+        ham.hopping[0, 1] += bump
+        with pytest.raises(InvalidInputError, match="real quadrature form"):
+            hamiltonian_to_majorana(ham)
 
 
 def test_ground_state_vacuum_and_filled():

@@ -44,6 +44,13 @@ def test_bcs_angle_validation():
 
 def test_kitaev_ground_state_checks_out():
     ham = kitaev_hamiltonian(6, 0.5, 1.0, 1.0)
+    # The bonds as a loop over sites sets them, bit for bit.
+    hopping = -0.5 * np.eye(6, dtype=complex)
+    pairing = np.zeros((6, 6), dtype=complex)
+    for i in range(5):
+        hopping[i, i + 1] = hopping[i + 1, i] = -1.0
+        pairing[i, i + 1], pairing[i + 1, i] = 1.0, -1.0
+    assert (ham.hopping.tobytes(), ham.pairing.tobytes()) == (hopping.tobytes(), pairing.tobytes())
     model = generate_model("kitaev", {"n": 6, "mu": 0.5, "t": 1.0, "delta": 1.0})
     assert is_pure(model)
     state, energy, _ = dense_ground_state(ham)
