@@ -56,8 +56,7 @@ from .fock import (
 from .gaussian import (
     Bipartition,
     CovarianceMatrix,
-    GroundStateFCM,
-    MajoranaHamiltonian,
+    GroundState,
     QuadraticHamiltonian,
     diagonal_fcm,
     ground_state_fcm,
@@ -113,8 +112,7 @@ __all__ = [
     "schmidt_entropy",
     "Bipartition",
     "CovarianceMatrix",
-    "GroundStateFCM",
-    "MajoranaHamiltonian",
+    "GroundState",
     "QuadraticHamiltonian",
     "diagonal_fcm",
     "ground_state_fcm",

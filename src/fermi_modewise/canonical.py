@@ -26,6 +26,8 @@ J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 # Largest max|M + M^T| that antisymmetrize accepts.
 _ANTISYMMETRY_TOL = 1e-12
+# Largest max|Q Q^T - 1| of an orthogonal matrix.
+_ORTHOGONALITY_TOL = 1e-12
 
 # LAPACK Hessenberg reduction, called directly: on the small blocks of the
 # dense oracle the argument checks of scipy.linalg.hessenberg take longer than
@@ -101,10 +103,6 @@ class WilliamsonForm:
     orthogonal: np.ndarray
     lambdas: np.ndarray
 
-    @property
-    def canonical(self) -> np.ndarray:
-        return lambda_blocks(self.lambdas)
-
 
 def williamson_form(mat: np.ndarray) -> WilliamsonForm:
     """Compute the antisymmetric canonical form by the skew route of Ward & Gray.
@@ -154,11 +152,11 @@ def williamson_form(mat: np.ndarray) -> WilliamsonForm:
     return WilliamsonForm(orthogonal, np.abs(sigma))
 
 
-def is_orthogonal(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff ``max|Q Q^T - 1| <= tol``.  Non-square input returns False."""
+def is_orthogonal(mat: np.ndarray) -> bool:
+    """True iff ``max|Q Q^T - 1| <= 1e-12``.  Non-square input returns False."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False
     if mat.size == 0:
         return True
-    return np.max(np.abs(mat @ mat.T - np.eye(mat.shape[0]))) <= tol
+    return np.max(np.abs(mat @ mat.T - np.eye(mat.shape[0]))) <= _ORTHOGONALITY_TOL

@@ -32,16 +32,15 @@ class EntanglementReport:
 
     ``pair_entropies`` and ``total_modes_entropy`` (bits) are filled for pure
     decompositions only; otherwise they are ``[]`` and ``None``.
-    ``negativity_sum`` adds up |min PT eigenvalue| over NPT pairs; it is a
-    convenience magnitude for mixed states, not a measure with an operational
-    definition here.
+    ``pair_npt_flags`` holds the ``ppt_pair_entangled`` verdict of each pair,
+    and ``separable`` is True iff no flag is set.  The fields, in this order,
+    are the keys of ``entropy --json``.
     """
 
     pair_entropies: list[float] = field(default_factory=list)
     total_modes_entropy: float | None = None
     pair_npt_flags: list[bool] = field(default_factory=list)
     separable: bool = True
-    negativity_sum: float = 0.0
 
 
 def binary_entropy(p: float) -> float:
@@ -58,11 +57,6 @@ def _clamped_lambda0(lambda0: float) -> float:
     return min(max(lambda0, 0.0), 1.0)
 
 
-def _ppt_threshold(lambda0: float) -> float:
-    """The kappa above which the partial transpose of a pair is negative."""
-    return 0.5 * (1.0 - lambda0**2)
-
-
 def ppt_pair_entangled(lambda0: float, kappa: float) -> bool:
     """Partial-transpose test for one pair: entangled iff kappa > (1 - lambda0^2)/2.
 
@@ -74,7 +68,7 @@ def ppt_pair_entangled(lambda0: float, kappa: float) -> bool:
         raise InvalidInputError(
             f"kappa must satisfy 0 <= kappa <= lambda0, got kappa={kappa!r}, lambda0={lambda0!r}"
         )
-    return kappa > _ppt_threshold(lambda0) + _PPT_GUARD
+    return kappa > 0.5 * (1.0 - lambda0**2) + _PPT_GUARD
 
 
 def _check_pair_constraint(lambda0: float, lam: float, kappa: float):
@@ -140,18 +134,11 @@ def isotropic_separability(decomp: ModewiseDecomposition | PairSpectrum) -> Enta
     ``PairSpectrum`` gives the report of the decomposition, up to rounding.
     """
     lambda0 = _clamped_lambda0(decomp.lambda0)
-    threshold = _ppt_threshold(lambda0)
-    flags, negativity = [], 0.0
-    for pair in decomp.pairs:
-        kappa = min(pair.kappa, lambda0)
-        flags.append(kappa > threshold + _PPT_GUARD)
-        # the negative PT eigenvalue, when there is one: (threshold - kappa)/2
-        negativity += max(0.0, 0.5 * (kappa - threshold))
+    flags = [ppt_pair_entangled(lambda0, min(p.kappa, lambda0)) for p in decomp.pairs]
     entropies = [binary_entropy(np.cos(p.theta) ** 2) for p in decomp.pairs] if decomp.pure else []
     return EntanglementReport(
         pair_entropies=entropies,
         total_modes_entropy=float(sum(entropies)) if decomp.pure else None,
         pair_npt_flags=flags,
         separable=not any(flags),
-        negativity_sum=float(negativity),
     )

@@ -31,6 +31,7 @@ from .errors import InvalidInputError, NumericalConsistencyError, ResourceLimitE
 from .gaussian import (
     Bipartition,
     CovarianceMatrix,
+    GroundState,
     QuadraticHamiltonian,
     _check_mode_subset,
     quadrature_indices,
@@ -156,10 +157,10 @@ def _lowest_eigenpairs(block: np.ndarray):
     return energies[:found], vectors[:, :found]
 
 
-def dense_ground_state(ham: QuadraticHamiltonian):
+def dense_ground_state(ham: QuadraticHamiltonian) -> GroundState:
     """Lowest eigenvector of the dense Hamiltonian, of definite fermion parity.
 
-    Returns ``(state, energy, degenerate)``.  Every term of a quadratic H flips
+    Returns ``GroundState(state, energy, degenerate)``.  Every term of a quadratic H flips
     two occupations, so H has no entry between the even- and odd-parity
     sectors; the two lowest eigenpairs of each sector block give the energy
     (the lowest of them) and the gap to the next.  The state is the lowest
@@ -186,7 +187,7 @@ def dense_ground_state(ham: QuadraticHamiltonian):
     vec = vec / np.linalg.norm(vec)
     energies = np.sort(np.concatenate([even_e, odd_e]))
     degenerate = bool(energies[1] - energies[0] < _GAP_TOL)
-    return FockState(ham.n_modes, vec), float(energies[0]), degenerate
+    return GroundState(FockState(ham.n_modes, vec), float(energies[0]), degenerate)
 
 
 def fcm_from_state(state: FockState) -> CovarianceMatrix:

@@ -10,12 +10,16 @@ in [0, 1]; pure states satisfy M^2 = -1 and isotropic states M^2 = -l0^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .canonical import _chiral_block, antisymmetrize, j_blocks, lambda_blocks, williamson_form
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:
+    from .fock import FockState
 
 _POTRF = get_lapack_funcs(("potrf",), dtype=np.float64)[0]
 
@@ -96,47 +100,46 @@ class CovarianceMatrix:
         return self.matrix.shape[0] // 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadraticHamiltonian:
     """Quadratic fermion Hamiltonian sum_ij C_ij b_i^dag b_j + (A_ij b_i^dag b_j^dag + h.c.).
 
     ``hopping`` is the hermitian matrix C, ``pairing`` the antisymmetric
-    matrix A, both N x N complex.
+    matrix A, both N x N complex.  The constructor rejects non-finite entries
+    and deviations max|C - C^dag| or max|A + A^T| beyond 1e-12, and keeps
+    read-only complex copies of both matrices: a validated Hamiltonian is
+    frozen and cannot change.
     """
 
     hopping: np.ndarray
     pairing: np.ndarray
 
     def __post_init__(self):
-        self.hopping = np.asarray(self.hopping, dtype=complex)
-        self.pairing = np.asarray(self.pairing, dtype=complex)
-        for name, mat in (("hopping", self.hopping), ("pairing", self.pairing)):
+        hopping = np.array(self.hopping, dtype=complex)
+        pairing = np.array(self.pairing, dtype=complex)
+        for name, mat in (("hopping", hopping), ("pairing", pairing)):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise InvalidInputError(f"{name} matrix must be square, got {mat.shape}")
-            if not np.all(np.isfinite(mat)):
-                raise InvalidInputError(f"{name} matrix has non-finite entries")
-        if self.hopping.shape != self.pairing.shape:
-            raise InvalidInputError(
-                f"hopping {self.hopping.shape} and pairing {self.pairing.shape} differ"
-            )
-        herm = np.max(np.abs(self.hopping - self.hopping.conj().T)) if self.hopping.size else 0.0
-        if herm > 1e-12:
-            raise InvalidInputError(f"hopping matrix is not hermitian: max|C - C^dag| = {herm:.3e}")
-        anti = np.max(np.abs(self.pairing + self.pairing.T)) if self.pairing.size else 0.0
-        if anti > 1e-12:
-            raise InvalidInputError(f"pairing matrix is not antisymmetric: max|A + A^T| = {anti:.3e}")
+        if hopping.shape != pairing.shape:
+            raise InvalidInputError(f"hopping {hopping.shape} and pairing {pairing.shape} differ")
+        # A NaN or inf entry always leaves its deviation non-finite, so the
+        # entries are tested only after a deviation fails, to word the error.
+        with np.errstate(invalid="ignore", over="ignore"):
+            herm = np.max(np.abs(hopping - hopping.conj().T), initial=0.0)
+            anti = np.max(np.abs(pairing + pairing.T), initial=0.0)
+        for name, mat, deviation, failure in (
+                ("hopping", hopping, herm, "is not hermitian: max|C - C^dag|"),
+                ("pairing", pairing, anti, "is not antisymmetric: max|A + A^T|")):
+            if not deviation <= 1e-12:
+                if not np.isfinite(mat).all():
+                    raise InvalidInputError(f"{name} matrix has non-finite entries")
+                raise InvalidInputError(f"{name} matrix {failure} = {deviation:.3e}")
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
 
     @property
     def n_modes(self) -> int:
         return self.hopping.shape[0]
-
-
-@dataclass
-class MajoranaHamiltonian:
-    """Quadrature form (i/4) g^T h g + offset of a quadratic Hamiltonian, h real antisymmetric."""
-
-    coupling: np.ndarray
-    offset: float
 
 
 @dataclass
@@ -169,8 +172,8 @@ def quadrature_indices(modes) -> np.ndarray:
     return np.column_stack((2 * modes, 2 * modes + 1)).reshape(-1)
 
 
-def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> MajoranaHamiltonian:
-    """Rewrite a quadratic Hamiltonian as (i/4) g^T h g + offset.
+def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
+    """Rewrite a quadratic Hamiltonian as (i/4) g^T h g + offset; returns ``(h, offset)``.
 
     Uses b_i = (g_{2i} - i g_{2i+1}) / 2; ``h`` is real and exactly
     antisymmetric, and the offset collects the normal-ordering constant.
@@ -179,42 +182,40 @@ def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> MajoranaHamiltonian:
     # its coefficient times the outer product of the two operators' quadrature
     # coefficients, [[1, -i], [i, 1]], [[1, i], [i, -1]] and [[1, -i], [-i, -1]],
     # to the 2x2 mode block (i, j) of the quadrature form.  With C = c + ic'
-    # and A = a + ia', the real and imaginary parts of four times the form are
-    # these N x N blocks [p][q] = quad[p::2, q::2], summed term by term.
+    # and A = a + ia', the imaginary parts of four times the form are these
+    # N x N blocks [p][q] = quad[p::2, q::2], summed term by term.  The real
+    # part is symmetric, as the frozen Hamiltonian's C is hermitian and its A
+    # antisymmetric, so only its diagonal is formed, for the offset.
     # Contiguous copies of the parts: the views of the complex arrays are strided.
     c, c_im, a, a_im = (np.ascontiguousarray(part) for part in (
         ham.hopping.real, ham.hopping.imag, ham.pairing.real, ham.pairing.imag))
-    real = [[(c + a) - a, (c_im - a_im) + a_im], [(-c_im - a_im) + a_im, (c - a) + a]]
     imag = [[(c_im + a_im) + a_im, (a - c) + a], [(c + a) + a, (c_im - a_im) - a_im]]
     coupling = np.empty((2 * ham.n_modes, 2 * ham.n_modes))
     for p in (0, 1):
         for q in (0, 1):
             # h = 2 Im(quad - quad^T)
             coupling[p::2, q::2] = 0.5 * (imag[p][q] - imag[q][p].T)
-    # quad - quad^T must be imaginary; its real (1, 0) block is minus the
-    # transpose of the (0, 1) block, so three blocks are checked.
-    residual = 0.125 * max(float(np.max(np.abs(real[p][q] - real[q][p].T), initial=0.0))
-                           for p, q in ((0, 0), (0, 1), (1, 1)))
-    if residual > 1e-10:
-        raise InvalidInputError(
-            f"hamiltonian does not reduce to a real quadrature form (residual {residual:.3e})"
-        )
     # The offset is Re tr(quad), summed as the complex trace sums it.
+    dc, da = np.diagonal(c), np.diagonal(a)
     diagonal = np.zeros(2 * ham.n_modes, dtype=complex)
-    diagonal.real[0::2], diagonal.real[1::2] = np.diagonal(real[0][0]), np.diagonal(real[1][1])
-    return MajoranaHamiltonian(coupling, 0.25 * float(diagonal.sum().real))
+    diagonal.real[0::2], diagonal.real[1::2] = (dc + da) - da, (dc - da) + da
+    return coupling, 0.25 * float(diagonal.sum().real)
 
 
-@dataclass
-class GroundStateFCM:
-    """Ground-state covariance matrix with its energy and degeneracy flag."""
+class GroundState(NamedTuple):
+    """Ground state of a quadratic Hamiltonian, its energy and degeneracy flag.
 
-    fcm: CovarianceMatrix
+    ``state`` is a ``CovarianceMatrix`` from ``ground_state_fcm`` and a
+    ``FockState`` from ``fock.dense_ground_state``; each route sets
+    ``degenerate`` by its own threshold.  Unpacks as ``state, energy, degenerate``.
+    """
+
+    state: CovarianceMatrix | FockState
     energy: float
-    degenerate: bool = field(default=False)
+    degenerate: bool
 
 
-def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundStateFCM:
+def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundState:
     """Ground-state covariance matrix of a quadratic Hamiltonian.
 
     With O h O^T = diag(e_k J2), e_k >= 0, the minimizing pure state is the
@@ -229,10 +230,10 @@ def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundStateFCM:
     exactly chiral too, so the Williamson forms of M and of its restrictions,
     and the constructor's M^2, take the N x N routes.
     """
-    maj = hamiltonian_to_majorana(ham)
-    form = williamson_form(maj.coupling)
+    coupling, offset = hamiltonian_to_majorana(ham)
+    form = williamson_form(coupling)
     o = form.orthogonal
-    if _chiral_block(maj.coupling) is None:
+    if _chiral_block(coupling) is None:
         x = o[0::2].T @ o[1::2]
         matrix = x.T - x
     else:
@@ -241,10 +242,9 @@ def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundStateFCM:
         # X^T - X entry by entry; 0.0 - x keeps the sign of X^T - X at exact zeros.
         matrix[0::2, 1::2] = x.T
         matrix[1::2, 0::2] = 0.0 - x
-    fcm = CovarianceMatrix(matrix)
-    energy = maj.offset - 0.5 * float(np.sum(form.lambdas))
+    energy = offset - 0.5 * float(np.sum(form.lambdas))
     degenerate = bool(np.any(form.lambdas <= _DEGENERACY_TOL))
-    return GroundStateFCM(fcm, energy, degenerate)
+    return GroundState(CovarianceMatrix(matrix), energy, degenerate)
 
 
 def isotropy_parameter(state: CovarianceMatrix):

@@ -82,7 +82,7 @@ def _seed(value):
 
 
 def _kitaev_fcm(n: int, mu: float, t: float, delta: float) -> CovarianceMatrix:
-    return ground_state_fcm(kitaev_hamiltonian(n, mu, t, delta)).fcm
+    return ground_state_fcm(kitaev_hamiltonian(n, mu, t, delta)).state
 
 
 # kind -> (builder, {parameter: converter}) with the parameters in the

@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .canonical import is_orthogonal, williamson_form
+from .canonical import is_orthogonal, lambda_blocks, williamson_form
 from .decompose import modewise_decompose, reconstruction_residual
 from .entanglement import ppt_min_eigenvalue, pure_mode_entanglement
 from .errors import InvalidInputError, NotIsotropicError
@@ -91,7 +91,8 @@ def check_williamson(trials: int = 1000, seed: int = 7) -> CheckResult:
     for dim in dims:
         mat = random_antisymmetric(dim, rng)
         form = williamson_form(mat)
-        recon = np.max(np.abs(form.orthogonal @ mat @ form.orthogonal.T - form.canonical))
+        canonical = lambda_blocks(form.lambdas)
+        recon = np.max(np.abs(form.orthogonal @ mat @ form.orthogonal.T - canonical))
         worst_recon = max(worst_recon, float(recon))
         # Oracle: eigenvalues of -M^2 are the squared eigenvalues, each twice.
         oracle = np.sqrt(np.clip(np.linalg.eigvalsh(-mat @ mat), 0.0, None))[::-2]
@@ -158,7 +159,7 @@ def check_fcm_extraction(trials: int = 20, max_modes: int = 6, seed: int = 13) -
         state, _, degenerate = dense_ground_state(ham)
         if degenerate:
             continue
-        delta = ground_state_fcm(ham).fcm.matrix - fcm_from_state(state).matrix
+        delta = ground_state_fcm(ham).state.matrix - fcm_from_state(state).matrix
         worst = max(worst, float(np.max(np.abs(delta))))
     passed = worst <= 1e-8
     return CheckResult(
@@ -308,7 +309,7 @@ def check_bcs_roundtrip() -> CheckResult:
     worst = max(
         (abs(r - t) for r, t in zip(recovered, target)), default=float("inf")
     ) if len(recovered) == len(target) else float("inf")
-    orth = is_orthogonal(decomp.transform_a, tol) and is_orthogonal(decomp.transform_b, tol)
+    orth = is_orthogonal(decomp.transform_a) and is_orthogonal(decomp.transform_b)
     passed = worst <= tol and orth
     return CheckResult(
         "bcs-roundtrip",

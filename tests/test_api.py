@@ -1,5 +1,5 @@
 """The public names, the CLI model kinds and the traced benchmark layers exist;
-no module imports a name it never reads."""
+no module imports a name it never reads, and no private name goes unread."""
 
 import argparse
 import ast
@@ -18,6 +18,7 @@ TRACING = ROOT / "bench" / "tracing.py"
 def test_public_names_resolve():
     missing = [name for name in fermi_modewise.__all__ if not hasattr(fermi_modewise, name)]
     assert missing == []
+    assert len(set(fermi_modewise.__all__)) == len(fermi_modewise.__all__)
 
 
 def test_traced_benchmark_layers_exist():
@@ -61,3 +62,27 @@ def test_no_unused_imports():
     modules += sorted((ROOT / "tests").glob("*.py"))
     unused = {p.name: names for p in modules if (names := unused_imports(p))}
     assert unused == {}
+
+
+def test_no_unread_private_names():
+    # a module-level _name (function, class or constant) must be read somewhere in src/
+    sources = {p: ast.parse(p.read_text()) for p in (ROOT / "src" / "fermi_modewise").glob("*.py")}
+    defined = set()
+    for tree in sources.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    read = set()
+    for tree in sources.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - read) == []

@@ -207,6 +207,18 @@ def test_cli_entropy(capsys, tmp_path):
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_cli_entropy_json_emits_the_report_fields_in_order(capsys, tmp_path):
+    fcm_path = tmp_path / "pairs.json"
+    run(capsys, "generate", "--kind", "bcs", "--thetas", "0.3,0.7", "--out", str(fcm_path))
+    code, out, _ = run(capsys, "entropy", "--input", str(fcm_path), "--partition", "1,3;2,4",
+                       "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert list(report) == ["pair_entropies", "total_modes_entropy", "pair_npt_flags", "separable"]
+    assert len(report["pair_entropies"]) == 2
+    assert report["pair_npt_flags"] == [True, True] and report["separable"] is False
+
+
 def test_cli_williamson_spectrum(capsys, tmp_path):
     fcm_path = tmp_path / "diag.json"
     state = diagonal_fcm([0.9, 0.4])

@@ -153,7 +153,6 @@ def test_isotropic_separability_reports():
     report = isotropic_separability(decomp)
     assert report.separable
     assert not any(report.pair_npt_flags)
-    assert report.negativity_sum == 0.0
     assert report.total_modes_entropy is None
     assert report.pair_entropies == []
 
@@ -176,21 +175,6 @@ def test_isotropic_separability_reports():
         ]
         assert sum(report.pair_npt_flags) == npt_count
         assert (report.total_modes_entropy is None) == (lambda0 < 1.0)
-
-
-def test_negativity_sum_of_npt_isotropic_states():
-    rng = np.random.default_rng(17)
-    for n in (4, 6):
-        state = isotropic_fcm(n, 0.9, rng)
-        part = Bipartition(tuple(range(n // 2)), tuple(range(n // 2, n)))
-        decomp = modewise_decompose(state, part)
-        report = isotropic_separability(decomp)
-        expected = sum(
-            max(0.0, -ppt_min_eigenvalue(decomp.lambda0, p.lam, p.kappa)) for p in decomp.pairs
-        )
-        assert not report.separable
-        assert expected > 0.0
-        assert report.negativity_sum == pytest.approx(expected, abs=1e-14)
 
 
 def test_high_lambda0_mixed_flags():

@@ -156,7 +156,7 @@ def test_dense_ground_state_takes_the_even_state_of_an_exact_zero_mode_manifold(
     fcm = fcm_from_state(state)
     m = fcm.matrix
     assert np.max(np.abs(m @ m + np.eye(2 * n))) <= 1e-12
-    assert np.max(np.abs(m - ground_state_fcm(ham).fcm.matrix)) <= 1e-10
+    assert np.max(np.abs(m - ground_state_fcm(ham).state.matrix)) <= 1e-10
     half = Bipartition(tuple(range(n // 2)), tuple(range(n // 2, n)))
     _, fidelity = reconstruct_state(modewise_decompose(fcm, half), state)
     assert fidelity >= 1.0 - 1e-7

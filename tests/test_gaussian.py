@@ -6,6 +6,8 @@ import pytest
 from fermi_modewise import (
     Bipartition,
     CovarianceMatrix,
+    FockState,
+    GroundState,
     InvalidInputError,
     J2,
     NotIsotropicError,
@@ -35,9 +37,9 @@ from test_fock import jordan_wigner_majoranas
 
 def test_majorana_form_single_mode():
     ham = QuadraticHamiltonian([[1.7]], [[0.0]])
-    maj = hamiltonian_to_majorana(ham)
-    assert np.allclose(maj.coupling, 1.7 * J2, atol=1e-14)
-    assert maj.offset == pytest.approx(1.7 / 2)
+    coupling, offset = hamiltonian_to_majorana(ham)
+    assert np.allclose(coupling, 1.7 * J2, atol=1e-14)
+    assert offset == pytest.approx(1.7 / 2)
 
 
 def _majorana_by_mode_products(ham):
@@ -58,10 +60,10 @@ def test_majorana_form_matches_mode_products(n):
     hams = [random_quadratic_hamiltonian(n, rng) for _ in range(3)]
     hams += [kitaev_hamiltonian(n, mu, 1.0, 0.7) for mu in (0.5, 2.0)]
     for ham in hams:
-        maj = hamiltonian_to_majorana(ham)
-        coupling, offset = _majorana_by_mode_products(ham)
-        assert np.max(np.abs(maj.coupling - coupling)) <= 1e-15
-        assert abs(maj.offset - offset) <= 1e-15
+        coupling, offset = hamiltonian_to_majorana(ham)
+        by_products, by_products_offset = _majorana_by_mode_products(ham)
+        assert np.max(np.abs(coupling - by_products)) <= 1e-15
+        assert abs(offset - by_products_offset) <= 1e-15
 
 
 def test_majorana_coupling_is_exactly_antisymmetric():
@@ -69,25 +71,26 @@ def test_majorana_coupling_is_exactly_antisymmetric():
     hams = [random_quadratic_hamiltonian(n, rng) for n in (1, 3, 16)]
     hams += [kitaev_hamiltonian(n, 0.5, 1.0, 0.7) for n in (1, 16)]
     for ham in hams:
-        h = hamiltonian_to_majorana(ham).coupling
+        h, _ = hamiltonian_to_majorana(ham)
         assert np.array_equal(h, -h.T)
 
 
 def test_majorana_form_zero_hamiltonian():
-    maj = hamiltonian_to_majorana(QuadraticHamiltonian(np.zeros((2, 2)), np.zeros((2, 2))))
-    assert np.allclose(maj.coupling, 0.0)
-    assert maj.offset == 0.0
+    zero = QuadraticHamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
+    coupling, offset = hamiltonian_to_majorana(zero)
+    assert np.allclose(coupling, 0.0)
+    assert offset == 0.0
 
 
 def test_majorana_form_matches_dense_oracle():
     rng = np.random.default_rng(21)
     ham = random_quadratic_hamiltonian(3, rng)
-    maj = hamiltonian_to_majorana(ham)
+    coupling, offset = hamiltonian_to_majorana(ham)
     from fermi_modewise import dense_hamiltonian
 
     dense = dense_hamiltonian(ham)
     g = jordan_wigner_majoranas(3)
-    rebuilt = 0.25j * np.einsum("aij,ab,bjk->ik", g, maj.coupling, g) + maj.offset * np.eye(8)
+    rebuilt = 0.25j * np.einsum("aij,ab,bjk->ik", g, coupling, g) + offset * np.eye(8)
     assert np.max(np.abs(dense - rebuilt)) < 1e-10
 
 
@@ -98,36 +101,63 @@ def test_hamiltonian_validation():
         QuadraticHamiltonian(np.zeros((2, 2)), [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(InvalidInputError):
         QuadraticHamiltonian([[np.inf]], [[0.0]])
-    # A hopping made non-hermitian after validation fails the real-form
-    # residual: through its real part in the (0, 0) and (1, 1) quadrature
-    # blocks, through its imaginary part in the (0, 1) and (1, 0) blocks.
-    for bump in (1e-6, 1e-6j):
-        ham = QuadraticHamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
-        ham.hopping[0, 1] += bump
-        with pytest.raises(InvalidInputError, match="real quadrature form"):
-            hamiltonian_to_majorana(ham)
+
+
+@pytest.mark.parametrize("matrix", ["hopping", "pairing"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("value", [
+    complex(np.nan, 0.0), complex(np.inf, 0.0), complex(-np.inf, 0.0),
+    complex(0.0, np.nan), complex(0.0, np.inf), complex(0.0, -np.inf),
+], ids=["nan", "inf", "-inf", "nan-j", "inf-j", "-inf-j"])
+def test_hamiltonian_names_non_finite_entries(matrix, entry, value):
+    mats = {"hopping": np.eye(2, dtype=complex), "pairing": np.zeros((2, 2), dtype=complex)}
+    mats[matrix][entry] = value
+    with pytest.raises(InvalidInputError, match=f"^{matrix} matrix has non-finite entries$"):
+        QuadraticHamiltonian(mats["hopping"], mats["pairing"])
+
+
+def test_hamiltonian_is_frozen_with_read_only_copies():
+    hopping = np.eye(2, dtype=complex)
+    ham = QuadraticHamiltonian(hopping, np.zeros((2, 2)))
+    hopping[0, 1] = 1.0
+    assert ham.hopping[0, 1] == 0.0
+    for name in ("hopping", "pairing"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ham, name)[0, 1] += 1e-6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ham, name, np.zeros((2, 2)))
+
+
+def test_both_ground_state_routes_return_a_ground_state():
+    ham = kitaev_hamiltonian(4, 0.5, 1.0, 1.0)
+    for route, kind in ((ground_state_fcm, CovarianceMatrix), (dense_ground_state, FockState)):
+        ground = route(ham)
+        assert isinstance(ground, GroundState)
+        state, energy, degenerate = ground
+        assert state is ground.state and energy == ground.energy and degenerate == ground.degenerate
+        assert isinstance(state, kind) and isinstance(energy, float) and degenerate is False
 
 
 def test_ground_state_vacuum_and_filled():
     n = 3
     up = QuadraticHamiltonian(np.diag([1.0, 2.0, 3.0]), np.zeros((n, n)))
     ground = ground_state_fcm(up)
-    assert np.allclose(ground.fcm.matrix, j_blocks(n), atol=1e-12)
+    assert np.allclose(ground.state.matrix, j_blocks(n), atol=1e-12)
     assert ground.energy == pytest.approx(0.0, abs=1e-12)
 
     down = QuadraticHamiltonian(-np.diag([1.0, 2.0, 3.0]), np.zeros((n, n)))
     ground = ground_state_fcm(down)
-    assert np.allclose(ground.fcm.matrix, -j_blocks(n), atol=1e-12)
+    assert np.allclose(ground.state.matrix, -j_blocks(n), atol=1e-12)
     assert ground.energy == pytest.approx(-6.0)
 
 
 def test_ground_state_is_pure_and_matches_dense_oracle():
     ham = kitaev_hamiltonian(6, 0.5, 1.0, 1.0)
     ground = ground_state_fcm(ham)
-    assert is_pure(ground.fcm)
+    assert is_pure(ground.state)
     state, energy, _ = dense_ground_state(ham)
     assert ground.energy == pytest.approx(energy, abs=1e-8)
-    assert np.max(np.abs(ground.fcm.matrix - fcm_from_state(state).matrix)) < 1e-8
+    assert np.max(np.abs(ground.state.matrix - fcm_from_state(state).matrix)) < 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 256])
@@ -135,9 +165,9 @@ def test_chain_ground_state_is_the_dense_product_bit_for_bit(n):
     # M = X^T - X with X = O[0::2]^T O[1::2], formed as one dense 2N x 2N product
     for mu, delta in ((0.5, 1.0), (2.0, 1.0), (0.0, 0.0)):
         ham = kitaev_hamiltonian(n, mu, 1.0, delta)
-        o = williamson_form(hamiltonian_to_majorana(ham).coupling).orthogonal
+        o = williamson_form(hamiltonian_to_majorana(ham)[0]).orthogonal
         x = o[0::2].T @ o[1::2]
-        assert np.array_equal(ground_state_fcm(ham).fcm.matrix, CovarianceMatrix(x.T - x).matrix)
+        assert np.array_equal(ground_state_fcm(ham).state.matrix, CovarianceMatrix(x.T - x).matrix)
 
 
 def test_ground_state_degeneracy_flag():
@@ -183,8 +213,8 @@ def test_isotropy_fit_is_stored_at_construction():
 
 @pytest.mark.parametrize("state", [
     diagonal_fcm([0.9, 0.3, 0.5]),
-    ground_state_fcm(kitaev_hamiltonian(16, 0.5, 1.0, 1.0)).fcm,
-    CovarianceMatrix(0.6 * ground_state_fcm(kitaev_hamiltonian(9, 2.0, 1.0, 0.3)).fcm.matrix),
+    ground_state_fcm(kitaev_hamiltonian(16, 0.5, 1.0, 1.0)).state,
+    CovarianceMatrix(0.6 * ground_state_fcm(kitaev_hamiltonian(9, 2.0, 1.0, 0.3)).state.matrix),
 ], ids=["diagonal", "chain", "scaled-chain"])
 def test_chiral_isotropy_fit_matches_the_full_square(state):
     # chiral M square blockwise; the fit must agree with the one of M @ M

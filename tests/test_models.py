@@ -66,7 +66,7 @@ DELEGATES = {
     "bcs": ({"thetas": [0.3, 0.7]}, lambda: bcs_fcm([0.3, 0.7])),
     "kitaev": (
         {"n": 6, "mu": 0.5, "t": 1.0, "delta": 1.0},
-        lambda: ground_state_fcm(kitaev_hamiltonian(6, 0.5, 1.0, 1.0)).fcm,
+        lambda: ground_state_fcm(kitaev_hamiltonian(6, 0.5, 1.0, 1.0)).state,
     ),
     "random-pure": ({"n": 3, "seed": 4}, lambda: random_pure_fcm(3, 4)),
     "random-isotropic": (

@@ -65,7 +65,7 @@ def hamiltonian_with_ground_state(matrix: np.ndarray) -> QuadraticHamiltonian:
     ee, eo = matrix[0::2, 0::2], matrix[0::2, 1::2]
     oe, oo = matrix[1::2, 0::2], matrix[1::2, 1::2]
     ham = QuadraticHamiltonian(0.5 * (oe - eo) + 0.5j * (ee + oo), 0.25 * (oe + eo) + 0.25j * (ee - oo))
-    assert np.max(np.abs(hamiltonian_to_majorana(ham).coupling - matrix), initial=0.0) <= 1e-15
+    assert np.max(np.abs(hamiltonian_to_majorana(ham)[0] - matrix), initial=0.0) <= 1e-15
     return ham
 
 

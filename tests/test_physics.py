@@ -22,7 +22,7 @@ def _mid_cut(mu):
     """The ground state and its mid-cut decomposition and pair spectrum."""
     ground = ground_state_fcm(kitaev_hamiltonian(N, mu, 1.0, 1.0))
     half = Bipartition(tuple(range(N // 2)), tuple(range(N // 2, N)))
-    return ground, (modewise_decompose(ground.fcm, half), pair_spectrum(ground.fcm, half))
+    return ground, (modewise_decompose(ground.state, half), pair_spectrum(ground.state, half))
 
 
 def _mid_cut_thetas(mu):
@@ -62,7 +62,7 @@ def test_critical_chain_entropy_fits_its_central_charge(mu, delta, central_charg
     # cuts l in [N/8, 7N/8].  XX (mu = 0, delta = 0) has c = 1, the critical
     # Kitaev chain (mu = 2, t = delta = 1) the Ising c = 1/2; at N = 128 the
     # fits give 1.0346 and 0.4908.
-    fcm = ground_state_fcm(kitaev_hamiltonian(N, mu, 1.0, delta)).fcm
+    fcm = ground_state_fcm(kitaev_hamiltonian(N, mu, 1.0, delta)).state
     cuts = np.arange(N // 8, 7 * N // 8 + 1, 4)
     entropies = [
         pure_mode_entanglement(
