@@ -32,12 +32,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .canonical import _chiral_block, lambda_blocks, williamson_form
-from .errors import InvalidInputError, NotIsotropicError, NumericalConsistencyError
+from .errors import NotIsotropicError, NumericalConsistencyError
 from .gaussian import (
     ISOTROPY_TOL,
     PURITY_TOL,
     Bipartition,
     CovarianceMatrix,
+    _check_partition,
     isotropy_parameter,
     quadrature_indices,
 )
@@ -124,10 +125,7 @@ class PairSpectrum:
 
 def _checked_lambda0(state: CovarianceMatrix, partition: Bipartition) -> float:
     """lambda0 of an isotropic state that ``partition`` fits; raises otherwise."""
-    if partition.n_modes != state.n_modes:
-        raise InvalidInputError(
-            f"partition covers {partition.n_modes} modes but the state has {state.n_modes}"
-        )
+    _check_partition(partition, state.n_modes)
     lambda0 = isotropy_parameter(state)
     if lambda0 is None:
         raise NotIsotropicError(state.isotropy_deviation, ISOTROPY_TOL)

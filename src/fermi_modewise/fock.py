@@ -9,12 +9,13 @@ order,
     g_{2i+1} = Z^(i) (x) [[0, i], [-i, 0]] (x) 1...   (= i(b_i - b_i^dag))
 
 so that |0...0> is the vacuum.  Each Majorana is a signed permutation of the
-basis, and every operator here acts through that one representation.  The
-dense Hamiltonian costs O(N^2 2^N) to build and O(4^N) memory.  A quadratic
-Hamiltonian conserves fermion parity, so the ground state comes from its even
-and odd blocks of size 2^(N-1), two lowest eigenpairs of each: O(8^N) time
-still, but the two half-size reductions cost a quarter of a full one and only
-four eigenvectors are formed.  Everything is capped at MODE_CAP = 12 modes.
+basis, and every operator here acts through that one representation.  A
+quadratic Hamiltonian conserves fermion parity, so it is built one parity
+block of size 2^(N-1) at a time, each in O(N^2 2^N) time and 4^N * 4 bytes.
+The ground state comes from the two lowest eigenpairs of each block, solved
+as soon as it is built, so one block is alive at a time: O(8^N) time still,
+but the two half-size reductions cost a quarter of a full one and only four
+eigenvectors are formed.  Everything is capped at MODE_CAP = 12 modes.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .gaussian import (
     GroundState,
     QuadraticHamiltonian,
     _check_mode_subset,
+    _check_partition,
     quadrature_indices,
 )
 
-# Most modes of any dense route; at 12 building the Hamiltonian peaks at 1.26 GiB.
+# Most modes of any dense route; at 12 one parity block takes 4^12 * 4 B = 64 MiB.
 MODE_CAP = 12
 # Smallest spectral gap of a dense ground state that counts as nondegenerate,
 # and the width within which the even sector wins a tie of the sector minima.
@@ -112,36 +114,67 @@ def _majorana_action(n_modes: int):
     return perm, phase
 
 
-def dense_hamiltonian(ham: QuadraticHamiltonian) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of a quadratic Hamiltonian.
+def _sector(n_modes: int, parity: int) -> np.ndarray:
+    """Basis indices of one fermion-parity sector (0 even, 1 odd), ascending.
 
-    With b_i u = low[i] * u[flip[i]], each term b_i^dag b_j or b_i^dag b_j^dag
-    sends basis row k to the single column flip[j][flip[i][k]], so each part
-    of H is one scatter of N^2 2^N entries.
+    Basis states 2m and 2m + 1 differ only in the last mode's occupation, so
+    each such pair holds one state of each parity: state k sits at place
+    k // 2 of its sector.
+    """
+    return np.flatnonzero(_occupations(n_modes).sum(axis=0) % 2 == parity)
+
+
+def _sector_block(ham: QuadraticHamiltonian, parity: int) -> np.ndarray:
+    """Hermitian 2^(N-1) x 2^(N-1) block of the dense Hamiltonian on one parity sector.
+
+    With b_i u = low[i] * u[flip[i]], each term b_i^dag b_j, b_i^dag b_j^dag
+    or its adjoint sends basis row k to the single column flip[j][flip[i][k]],
+    which has the parity of k.  So the block is one buffer that the hopping,
+    pairing and adjoint pairing terms scatter their N^2 2^(N-1) entries into
+    at sector-local places k // 2.  A hopping entry conserves the particle
+    number and a pairing entry changes it by 2, so no two kinds of term reach
+    the same entry.  The hermiticity check is against the block's own scale.
+    The block is returned in Fortran order, as LAPACK takes it.
     """
     n = ham.n_modes
-    _check_cap(n)
     perm, phase = _majorana_action(n)
     flip = perm[0::2]
     low = 0.5 * (phase[0::2] - 1.0j * phase[1::2])
-    dim = 2**n
+    sector = _sector(n, parity)
+    dim = sector.size
     modes = np.arange(n)[:, None]
     up = low.conj()[modes, flip]  # b_i^dag u = up[i] * u[flip[i]]
-    rows = flip[:, None, :]  # row flip[i][k] that b_j or b_j^dag acts on; axes [i, j, k]
-    flat = (np.arange(dim) * dim + flip[modes, rows]).reshape(-1)
-
-    def scatter(weights):
-        part = np.zeros(dim * dim, dtype=complex)
-        np.add.at(part, flat, weights.reshape(-1))
-        return part.reshape(dim, dim)
-
-    hopping_part = scatter(ham.hopping[:, :, None] * up[:, None, :] * low[modes, rows])
-    pairing_part = scatter(ham.pairing[:, :, None] * up[:, None, :] * up[modes, rows])
-    h = hopping_part + pairing_part + pairing_part.conj().T
+    rows = flip[:, None, sector]  # row flip[i][k] that b_j or b_j^dag acts on; axes [i, j, k]
+    cols = flip[modes, rows] // 2
+    places = np.arange(dim)
+    flat = (places * dim + cols).reshape(-1)
+    pairing = (ham.pairing[:, :, None] * up[:, None, sector] * up[modes, rows]).reshape(-1)
+    h = np.zeros(dim * dim, dtype=complex)
+    np.add.at(h, flat, (ham.hopping[:, :, None] * up[:, None, sector] * low[modes, rows]).reshape(-1))
+    np.add.at(h, flat, pairing)
+    np.add.at(h, (cols * dim + places).reshape(-1), pairing.conj())
+    h = h.reshape(dim, dim)
     residual = np.max(np.abs(h - h.conj().T))
     if residual > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
         raise NumericalConsistencyError(f"dense Hamiltonian not hermitian: {residual:.3e}")
-    return 0.5 * (h + h.conj().T)
+    adjoint = h.conj().T
+    adjoint += h
+    adjoint *= 0.5
+    return adjoint
+
+
+def dense_hamiltonian(ham: QuadraticHamiltonian) -> np.ndarray:
+    """Dense 2^N x 2^N matrix of a quadratic Hamiltonian.
+
+    Every term flips two occupations, so H is the direct sum of its even and
+    odd parity blocks, and every entry between the two sectors is exactly 0.
+    """
+    _check_cap(ham.n_modes)
+    h = np.zeros((2**ham.n_modes,) * 2, dtype=complex)
+    for parity in (0, 1):
+        sector = _sector(ham.n_modes, parity)
+        h[np.ix_(sector, sector)] = _sector_block(ham, parity)
+    return h
 
 
 def _lowest_eigenpairs(block: np.ndarray):
@@ -163,24 +196,23 @@ def dense_ground_state(ham: QuadraticHamiltonian) -> GroundState:
     Returns ``GroundState(state, energy, degenerate)``.  Every term of a quadratic H flips
     two occupations, so H has no entry between the even- and odd-parity
     sectors; the two lowest eigenpairs of each sector block give the energy
-    (the lowest of them) and the gap to the next.  The state is the lowest
+    (the lowest of them) and the gap to the next.  Each block is built and
+    solved in turn, so one block is alive at a time.  The state is the lowest
     vector of the sector with the lower minimum, the even sector when the two
     minima lie within 1e-10, with exact zeros on the other sector.  The global
     phase is fixed by making the largest-magnitude amplitude (first such index
     on ties) real and positive; ``degenerate`` is set when the spectral gap is
     below 1e-10.
     """
-    h = dense_hamiltonian(ham)
-    parity = _occupations(ham.n_modes).sum(axis=0) % 2
-    sectors = [np.flatnonzero(parity == p) for p in (0, 1)]
-    blocks = [h[np.ix_(sector, sector)] for sector in sectors]
-    del h
-    (even_e, even_v), (odd_e, odd_v) = (_lowest_eigenpairs(block) for block in blocks)
+    _check_cap(ham.n_modes)
+    (even_e, even_v), (odd_e, odd_v) = (
+        _lowest_eigenpairs(_sector_block(ham, parity)) for parity in (0, 1)
+    )
     vec = np.zeros(2**ham.n_modes, dtype=complex)
     if odd_e[0] < even_e[0] - _GAP_TOL:
-        vec[sectors[1]] = odd_v[:, 0]
+        vec[_sector(ham.n_modes, 1)] = odd_v[:, 0]
     else:
-        vec[sectors[0]] = even_v[:, 0]
+        vec[_sector(ham.n_modes, 0)] = even_v[:, 0]
     pivot = int(np.argmax(np.abs(vec)))
     phase = vec[pivot] / abs(vec[pivot])
     vec = vec / phase
@@ -222,6 +254,7 @@ def reduced_density(state: FockState, modes) -> np.ndarray:
 
 def schmidt_entropy(state: FockState, partition: Bipartition) -> float:
     """Base-2 von Neumann entropy of the reduced state on the A modes."""
+    _check_partition(partition, state.n_modes)
     rho = reduced_density(state, partition.a_modes)
     evals = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     return float(-np.sum(xlogy(evals, evals)) / np.log(2.0))

@@ -260,6 +260,14 @@ def is_pure(state: CovarianceMatrix) -> bool:
     return lambda0 is not None and abs(lambda0 - 1.0) <= PURITY_TOL
 
 
+def _check_partition(partition: Bipartition, n_modes: int):
+    """Refuse a partition that does not cover every mode of an n_modes state."""
+    if partition.n_modes != n_modes:
+        raise InvalidInputError(
+            f"partition covers {partition.n_modes} modes but the state has {n_modes}"
+        )
+
+
 def _check_mode_subset(modes: list, n_modes: int):
     """Refuse a repeated index, or one outside 0..n_modes-1, in a list of modes."""
     if len(set(modes)) != len(modes):

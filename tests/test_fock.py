@@ -16,6 +16,7 @@ from fermi_modewise import (
     dense_hamiltonian,
     fcm_from_state,
     ground_state_fcm,
+    hamiltonian_to_majorana,
     is_pure,
     j_blocks,
     modewise_decompose,
@@ -24,7 +25,7 @@ from fermi_modewise import (
     reduced_density,
     schmidt_entropy,
 )
-from fermi_modewise.fock import _GAP_TOL, _majorana_action, _occupations
+from fermi_modewise.fock import _GAP_TOL, _majorana_action, _occupations, _sector, _sector_block
 from fermi_modewise.models import kitaev_hamiltonian
 from fermi_modewise.verify import random_gaussian_state, random_quadratic_hamiltonian
 
@@ -112,15 +113,55 @@ def test_dense_hamiltonian_pairing_couples_00_and_11():
     assert abs(dense[0, 3]) > 0.1
 
 
-def test_dense_hamiltonian_peak_memory_at_nine_modes():
-    ham = random_quadratic_hamiltonian(9, np.random.default_rng(9))
+def _sector_block_cases():
+    rng = np.random.default_rng(19)
+    for n in range(1, 7):
+        yield pytest.param(random_quadratic_hamiltonian(n, rng), id=f"random-{n}")
+        for name, mu in (("topological", 0.5), ("critical", 2.0), ("zero-mode", 0.0)):
+            yield pytest.param(kitaev_hamiltonian(n, mu, 1.0, 0.7), id=f"{name}-{n}")
+
+
+@pytest.mark.parametrize("ham", _sector_block_cases())
+def test_sector_blocks_match_the_kron_route(ham):
+    # 0.25i sum_ab h_ab g_a g_b + offset, with g the kron-product Majoranas:
+    # a route that shares neither the action nor the scatter
+    n = ham.n_modes
+    coupling, offset = hamiltonian_to_majorana(ham)
+    g = jordan_wigner_majoranas(n)
+    kron = 0.25j * np.matmul(g, np.tensordot(coupling, g, axes=(1, 0))).sum(axis=0)
+    kron += offset * np.eye(2**n)
+    scale = max(1.0, float(np.max(np.abs(kron))))
+    dense = dense_hamiltonian(ham)
+    for parity in (0, 1):
+        sector = _sector(n, parity)
+        block = _sector_block(ham, parity)
+        assert np.max(np.abs(block - kron[np.ix_(sector, sector)])) <= 1e-12 * scale
+        assert np.array_equal(dense[np.ix_(sector, sector)], block)
+    odd = _occupations(n).sum(axis=0) % 2 == 1
+    assert np.all(dense[np.ix_(odd, ~odd)] == 0.0)
+    assert np.all(dense[np.ix_(~odd, odd)] == 0.0)
+
+
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        dense_hamiltonian(ham)
+        fn(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    return peak
+
+
+def test_dense_hamiltonian_peak_memory_at_nine_modes():
+    # the 2^9 x 2^9 complex matrix takes 4 MiB; each sector block is built in turn
+    ham = random_quadratic_hamiltonian(9, np.random.default_rng(9))
+    assert _traced_peak(dense_hamiltonian, ham) < 12 * 2**20
+
+
+def test_dense_ground_state_never_forms_the_full_matrix():
+    # 16 MiB is the 2^10 x 2^10 complex matrix; one 2^9 x 2^9 block takes 4 MiB
+    ham = random_quadratic_hamiltonian(10, np.random.default_rng(10))
+    assert _traced_peak(dense_ground_state, ham) < 16 * 2**20
 
 
 def test_dense_ground_energy_matches_covariance_route_on_kitaev_chain():
@@ -240,6 +281,12 @@ def test_schmidt_entropy_known_values():
     assert schmidt_entropy(product, Bipartition((0,), (1,))) == pytest.approx(0.0, abs=1e-12)
     bell = squeezed_pair(np.pi / 4)
     assert schmidt_entropy(bell, Bipartition((0,), (1,))) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_schmidt_entropy_refuses_a_partition_that_misses_modes():
+    state, _ = random_gaussian_state(6, np.random.default_rng(6))
+    with pytest.raises(InvalidInputError, match="partition covers 4 modes but the state has 6"):
+        schmidt_entropy(state, Bipartition((0, 1), (2, 3)))
 
 
 def test_schmidt_entropy_symmetric_under_side_swap():
