@@ -132,9 +132,10 @@ def _sector_block(ham: QuadraticHamiltonian, parity: int) -> np.ndarray:
     which has the parity of k.  So the block is one buffer that the hopping,
     pairing and adjoint pairing terms scatter their N^2 2^(N-1) entries into
     at sector-local places k // 2.  A hopping entry conserves the particle
-    number and a pairing entry changes it by 2, so no two kinds of term reach
-    the same entry.  The hermiticity check is against the block's own scale.
-    The block is returned in Fortran order, as LAPACK takes it.
+    number and a pairing entry changes it by 2, so no two kinds of term add a
+    nonzero value to the same entry.  The hermiticity check is against the
+    block's own scale.  The block 0.5 (h + h^dag) is returned in Fortran
+    order, as LAPACK takes it.
     """
     n = ham.n_modes
     perm, phase = _majorana_action(n)
@@ -150,7 +151,10 @@ def _sector_block(ham: QuadraticHamiltonian, parity: int) -> np.ndarray:
     flat = (places * dim + cols).reshape(-1)
     pairing = (ham.pairing[:, :, None] * up[:, None, sector] * up[modes, rows]).reshape(-1)
     h = np.zeros(dim * dim, dtype=complex)
-    np.add.at(h, flat, (ham.hopping[:, :, None] * up[:, None, sector] * low[modes, rows]).reshape(-1))
+    # the hopping weights are a temporary, gone before the check's temporaries
+    np.add.at(
+        h, flat, (ham.hopping[:, :, None] * up[:, None, sector] * low[modes, rows]).reshape(-1)
+    )
     np.add.at(h, flat, pairing)
     np.add.at(h, (cols * dim + places).reshape(-1), pairing.conj())
     h = h.reshape(dim, dim)

@@ -94,8 +94,11 @@ def test_clifford_algebra_exhaustive():
 def test_mode_cap():
     with pytest.raises(ResourceLimitError):
         fcm_from_state(FockState.from_occupations([0] * 13))
+    too_big = QuadraticHamiltonian(np.eye(13), np.zeros((13, 13)))
     with pytest.raises(ResourceLimitError):
-        dense_hamiltonian(QuadraticHamiltonian(np.eye(13), np.zeros((13, 13))))
+        dense_hamiltonian(too_big)
+    with pytest.raises(ResourceLimitError):
+        dense_ground_state(too_big)
 
 
 def test_dense_hamiltonian_number_operator():
