@@ -17,11 +17,7 @@ from fermi_modewise import (
     restrict,
     williamson_form,
 )
-
-
-def random_antisymmetric(dim, rng):
-    x = rng.standard_normal((dim, dim))
-    return 0.5 * (x - x.T)
+from fermi_modewise.verify import random_antisymmetric
 
 
 def reconstruction_error(mat, form):

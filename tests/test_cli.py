@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from fermi_modewise import (
     modewise_decompose,
     random_pure_fcm,
     reconstruction_residual,
+    verify,
     williamson_form,
 )
 from fermi_modewise.cli import cli_main
@@ -516,10 +518,56 @@ def test_cli_generate_from_spec_json(capsys, tmp_path):
     assert data["n_modes"] == 2
 
 
+VERIFY_ROW = re.compile(r"(.+) = (\S+) \(bound (\S+), margin (\S+)\)")
+
+
+def assert_verify_passed(out):
+    """11 PASS lines whose rows each read margin = bound - value >= 0, then 11/11."""
+    # the oracle bench workload takes any "FAIL" in verify's output as a failed round
+    assert "FAIL" not in out
+    lines = out.strip().splitlines()
+    assert len(lines) == 12 and lines[-1] == "11/11 suites passed"
+    for line in lines[:-1]:
+        assert line.startswith("PASS ")
+        cells = line.split(": ", 1)[1].split("; ")
+        rows = [m.groups() for cell in cells if (m := VERIFY_ROW.fullmatch(cell))]
+        assert rows and len(rows) >= len(cells) - 1, line  # every cell a row but one note
+        for _, value, bound, margin in rows:
+            if bound.isdigit():  # a count: printed as integers, margin exact
+                assert int(margin) == int(bound) - int(value) >= 0, line
+            else:
+                assert float(margin) == pytest.approx(float(bound) - float(value), rel=1e-2)
+                assert float(margin) >= 0, line
+
+
 def test_cli_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--max-modes", "4", "--trials", "4", "--seed", "7")
     assert code == 0
+    assert_verify_passed(out)
+
+
+def test_cli_verify_two_modes(capsys):
+    code, out, _ = run(capsys, "verify", "--max-modes", "2", "--trials", "1")
+    assert code == 0
+    assert_verify_passed(out)
+
+
+def test_cli_verify_nan_measurement_fails(capsys, monkeypatch):
+    # one NaN energy among the trials must fail its suite, not vanish in a running max
+    exact, calls = verify.ground_state_fcm, []
+
+    def nan_first_energy(ham):
+        calls.append(ham)
+        ground = exact(ham)
+        return ground._replace(energy=float("nan")) if len(calls) == 1 else ground
+
+    monkeypatch.setattr(verify, "ground_state_fcm", nan_first_energy)
+    code, out, _ = run(capsys, "verify", "--max-modes", "3", "--trials", "2")
     lines = out.strip().splitlines()
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].endswith("suites passed")
+    assert code == 2
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL ground-state-energy"
+    ]
+    assert "max |E_fcm - E_dense| = nan" in out
+    assert lines[-1] == "10/11 suites passed"
 
