@@ -16,6 +16,7 @@ reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -39,13 +40,16 @@ _GEHRD, _GEHRD_LWORK, _ORGHR, _ORGHR_LWORK = get_lapack_funcs(
 
 def j_blocks(n_blocks: int) -> np.ndarray:
     """Direct sum of ``n_blocks`` copies of J2."""
-    return np.kron(np.eye(n_blocks), J2)
+    return lambda_blocks(np.ones(n_blocks))
 
 
 def lambda_blocks(lambdas: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix diag(l_1 J2, ..., l_N J2)."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    return np.kron(np.diag(lambdas), J2)
+    """Block-diagonal matrix diag(l_1 J2, ..., l_N J2), for l >= 0 the bits of kron(diag(l), J2)."""
+    diagonal = np.diag(np.asarray(lambdas, dtype=float))
+    out = np.zeros((2 * len(diagonal),) * 2)
+    out[0::2, 1::2] = -diagonal  # -0.0 off the diagonal, as kron's 0.0 * -1.0
+    out[1::2, 0::2] = diagonal
+    return out
 
 
 def antisymmetrize(mat: np.ndarray) -> np.ndarray:
@@ -124,7 +128,16 @@ def williamson_form(mat: np.ndarray) -> WilliamsonForm:
 
     Deterministic for fixed input; the l_i come in descending order.
     """
-    m = antisymmetrize(mat)
+    return _williamson_core(antisymmetrize(mat))
+
+
+@lru_cache(maxsize=256)
+def _hessenberg_lwork(dim: int) -> int:
+    return int(max(_GEHRD_LWORK(dim, lo=0, hi=dim - 1)[0], _ORGHR_LWORK(dim, lo=0, hi=dim - 1)[0]))
+
+
+def _williamson_core(m: np.ndarray) -> WilliamsonForm:
+    """``williamson_form`` of an m that ``antisymmetrize`` returns bit for bit; may overwrite m."""
     dim = m.shape[0]
     if dim % 2:
         raise InvalidInputError(f"dimension must be even, got {dim}")
@@ -134,13 +147,12 @@ def williamson_form(mat: np.ndarray) -> WilliamsonForm:
     block = _chiral_block(m)
     chiral = block is not None
     if not chiral:
-        n, hi = dim // 2, dim - 1
-        lwork = int(max(_GEHRD_LWORK(dim, lo=0, hi=hi)[0], _ORGHR_LWORK(dim, lo=0, hi=hi)[0]))
+        n, hi, lwork = dim // 2, dim - 1, _hessenberg_lwork(dim)
         h, tau, _ = _GEHRD(m, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
         e = np.diagonal(h, -1).copy()
         q, _ = _ORGHR(h, tau, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
         block = np.diag(-e[0::2])
-        block[np.arange(1, n), np.arange(n - 1)] = e[1::2]
+        block.reshape(-1)[n::n + 1] = e[1::2]  # the subdiagonal
     u, sigma, vt = np.linalg.svd(block)
     orthogonal = np.zeros((dim, dim))
     if chiral:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canonical import _chiral_block, lambda_blocks, williamson_form
+from .canonical import _chiral_block, _williamson_core, lambda_blocks
 from .errors import NotIsotropicError, NumericalConsistencyError
 from .gaussian import (
     ISOTROPY_TOL,
@@ -167,8 +167,8 @@ def pair_spectrum(state: CovarianceMatrix, partition: Bipartition) -> PairSpectr
     rows_a = quadrature_indices(partition.a_modes)
     rows_b = quadrature_indices(partition.b_modes)
     rows_small = rows_a if len(rows_a) <= len(rows_b) else rows_b
-    cross = state.matrix[np.ix_(rows_a, rows_b)]
-    local = state.matrix[np.ix_(rows_small, rows_small)]
+    cross = state.matrix[rows_a[:, None], rows_b]
+    local = state.matrix[rows_small[:, None], rows_small]
     if _chiral_block(state.matrix) is None:
         sigma = _svdvals(cross)
         kappas, copies = sigma[0::2], sigma[1::2]
@@ -215,17 +215,18 @@ def modewise_decompose(state: CovarianceMatrix, partition: Bipartition) -> Modew
     n_a, n_b = len(partition.a_modes), len(partition.b_modes)
     rows_a = quadrature_indices(partition.a_modes)
     rows_b = quadrature_indices(partition.b_modes)
-    cross = state.matrix[np.ix_(rows_a, rows_b)]
-    form_a = williamson_form(state.matrix[np.ix_(rows_a, rows_a)])
-    form_b = williamson_form(state.matrix[np.ix_(rows_b, rows_b)])
+    cross = state.matrix[rows_a[:, None], rows_b]
+    # antisymmetrize returns a principal block of a CovarianceMatrix bit for bit.
+    form_a = _williamson_core(state.matrix[rows_a[:, None], rows_a])
+    form_b = _williamson_core(state.matrix[rows_b[:, None], rows_b])
     rot_a, rot_b = form_a.orthogonal, form_b.orthogonal
     rotated = rot_a @ cross @ rot_b.T
 
     # Modes with lambda ~ 0 (the trailing rows) carry no orientation: pair
     # them by a real SVD, swapping the quadratures of each B mode so that
     # every pair reads s * beta.
-    zero_a = 2 * int(np.sum(form_a.lambdas > _ZERO_LAMBDA_TOL * lambda0))
-    zero_b = 2 * int(np.sum(form_b.lambdas > _ZERO_LAMBDA_TOL * lambda0))
+    zero_a = 2 * np.count_nonzero(form_a.lambdas > _ZERO_LAMBDA_TOL * lambda0)
+    zero_b = 2 * np.count_nonzero(form_b.lambdas > _ZERO_LAMBDA_TOL * lambda0)
     if zero_a < 2 * n_a and zero_b < 2 * n_b:
         u, _, vt = np.linalg.svd(rotated[zero_a:, zero_b:])
         rot_a[zero_a:] = u.T @ rot_a[zero_a:]
@@ -242,7 +243,7 @@ def modewise_decompose(state: CovarianceMatrix, partition: Bipartition) -> Modew
     unitary_a, unitary_b = 1j * p_mat.conj().T, qh_mat.conj()
     lams_a = np.abs(unitary_a) ** 2 @ form_a.lambdas
     lams_b = np.abs(unitary_b) ** 2 @ form_b.lambdas
-    n_pairs = int(np.sum(kappas > _PAIR_TOL))
+    n_pairs = np.count_nonzero(kappas > _PAIR_TOL)
 
     pairs = [
         EntangledPair(float(lams_a[k]), float(kappas[k]),
@@ -297,8 +298,8 @@ def reconstruction_residual(decomp: ModewiseDecomposition, state: CovarianceMatr
 
     t_a, t_b, mat = decomp.transform_a, decomp.transform_b, state.matrix
     deltas = (
-        t_a @ mat[np.ix_(rows_a, rows_a)] @ t_a.T - lambda_blocks(lams_a),
-        t_b @ mat[np.ix_(rows_b, rows_b)] @ t_b.T - lambda_blocks(lams_b),
-        t_a @ mat[np.ix_(rows_a, rows_b)] @ t_b.T - cross,
+        t_a @ mat[rows_a[:, None], rows_a] @ t_a.T - lambda_blocks(lams_a),
+        t_b @ mat[rows_b[:, None], rows_b] @ t_b.T - lambda_blocks(lams_b),
+        t_a @ mat[rows_a[:, None], rows_b] @ t_b.T - cross,
     )
     return max((float(np.max(np.abs(d))) for d in deltas if d.size), default=0.0)

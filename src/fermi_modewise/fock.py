@@ -16,6 +16,12 @@ The ground state comes from the two lowest eigenpairs of each block, solved
 as soon as it is built, so one block is alive at a time: O(8^N) time still,
 but the two half-size reductions cost a quarter of a full one and only four
 eigenvectors are formed.  Everything is capped at MODE_CAP = 12 modes.
+
+Index tables are cached read-only on first use and kept for the life of the
+process, for every N <= MODE_CAP: per N the occupation table and the Majorana
+action, per (N, parity) the scatter places, gather index and ladder factors
+of ``_sector_block``.  At N = 12 they hold 19.9 MiB, mostly three int64
+arrays of N^2 2^(N-1) entries per parity; with every N <= 12, 34.8 MiB.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class FockState:
         return cls(len(occupations), amps)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=MODE_CAP)
 def _occupations(n_modes: int) -> np.ndarray:
     """Occupation table: entry [i, k] is the occupation of mode i in basis state k."""
     occ = np.indices((2,) * n_modes).reshape(n_modes, -1)
@@ -93,7 +99,7 @@ def _occupations(n_modes: int) -> np.ndarray:
     return occ
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=MODE_CAP)
 def _majorana_action(n_modes: int):
     """Sparse action of every Majorana: g_a u = phase[a] * u[perm[a]].
 
@@ -124,6 +130,30 @@ def _sector(n_modes: int, parity: int) -> np.ndarray:
     return np.flatnonzero(_occupations(n_modes).sum(axis=0) % 2 == parity)
 
 
+@lru_cache(maxsize=2 * MODE_CAP)
+def _sector_terms(n_modes: int, parity: int):
+    """Read-only ``(flat, flat_adjoint, gather, up_sector, up, low)`` of ``_sector_block``.
+
+    ``up.take(gather)`` and ``low.take(gather)`` are the factors of b_i^dag
+    and b_i at the rows that b_j or b_j^dag reached.
+    """
+    perm, phase = _majorana_action(n_modes)
+    flip = perm[0::2]
+    low = 0.5 * (phase[0::2] - 1.0j * phase[1::2])
+    sector = _sector(n_modes, parity)
+    dim = sector.size
+    modes = np.arange(n_modes)[:, None]
+    up = low.conj()[modes, flip]  # b_i^dag u = up[i] * u[flip[i]]
+    rows = flip[:, None, sector]  # row flip[i][k] that b_j or b_j^dag acts on; axes [i, j, k]
+    cols = flip[modes, rows] // 2
+    places = np.arange(dim)
+    terms = ((places * dim + cols).reshape(-1), (cols * dim + places).reshape(-1),
+             modes * 2**n_modes + rows, up[:, None, sector], up, low)
+    for term in terms:
+        term.setflags(write=False)
+    return terms
+
+
 def _sector_block(ham: QuadraticHamiltonian, parity: int) -> np.ndarray:
     """Hermitian 2^(N-1) x 2^(N-1) block of the dense Hamiltonian on one parity sector.
 
@@ -134,32 +164,23 @@ def _sector_block(ham: QuadraticHamiltonian, parity: int) -> np.ndarray:
     at sector-local places k // 2.  A hopping entry conserves the particle
     number and a pairing entry changes it by 2, so no two kinds of term add a
     nonzero value to the same entry.  The hermiticity check is against the
-    block's own scale.  The block 0.5 (h + h^dag) is returned in Fortran
-    order, as LAPACK takes it.
+    block's own scale, both maxima taken over row chunks of about 2^16
+    entries, so no temporary is block-sized; a max is exact.  The block
+    0.5 (h + h^dag) is returned in Fortran order, as LAPACK takes it.
     """
-    n = ham.n_modes
-    perm, phase = _majorana_action(n)
-    flip = perm[0::2]
-    low = 0.5 * (phase[0::2] - 1.0j * phase[1::2])
-    sector = _sector(n, parity)
-    dim = sector.size
-    modes = np.arange(n)[:, None]
-    up = low.conj()[modes, flip]  # b_i^dag u = up[i] * u[flip[i]]
-    rows = flip[:, None, sector]  # row flip[i][k] that b_j or b_j^dag acts on; axes [i, j, k]
-    cols = flip[modes, rows] // 2
-    places = np.arange(dim)
-    flat = (places * dim + cols).reshape(-1)
-    pairing = (ham.pairing[:, :, None] * up[:, None, sector] * up[modes, rows]).reshape(-1)
+    flat, flat_adjoint, gather, up_sector, up, low = _sector_terms(ham.n_modes, parity)
+    dim = 2 ** (ham.n_modes - 1)
     h = np.zeros(dim * dim, dtype=complex)
-    # the hopping weights are a temporary, gone before the check's temporaries
-    np.add.at(
-        h, flat, (ham.hopping[:, :, None] * up[:, None, sector] * low[modes, rows]).reshape(-1)
-    )
+    np.add.at(h, flat, (ham.hopping[:, :, None] * up_sector * low.take(gather)).reshape(-1))
+    pairing = (ham.pairing[:, :, None] * up_sector * up.take(gather)).reshape(-1)
     np.add.at(h, flat, pairing)
-    np.add.at(h, (cols * dim + places).reshape(-1), pairing.conj())
+    np.add.at(h, flat_adjoint, pairing.conj())
+    del pairing  # the weights are gone before the check's temporaries
     h = h.reshape(dim, dim)
-    residual = np.max(np.abs(h - h.conj().T))
-    if residual > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
+    step = max(1, 2**16 // dim)
+    chunks = [slice(start, start + step) for start in range(0, dim, step)]
+    residual = np.max([np.max(np.abs(h[rows] - h[:, rows].conj().T)) for rows in chunks])
+    if residual > 1e-12 * max(1.0, float(np.max([np.max(np.abs(h[rows])) for rows in chunks]))):
         raise NumericalConsistencyError(f"dense Hamiltonian not hermitian: {residual:.3e}")
     adjoint = h.conj().T
     adjoint += h
@@ -247,9 +268,10 @@ def reduced_density(state: FockState, modes) -> np.ndarray:
     modes = sorted(int(m) for m in modes)
     n = state.n_modes
     _check_mode_subset(modes, n)
-    traced = [m for m in range(n) if m not in set(modes)]
+    traced = [m for m in range(n) if m not in modes]
     occ = _occupations(n)
-    traced_before = np.cumsum(occ * np.isin(range(n), traced)[:, None], axis=0)
+    # bincount is 1 at each traced mode and 0 at each kept one
+    traced_before = np.cumsum(occ * np.bincount(traced, minlength=n)[:, None], axis=0)
     signs = (-1.0) ** np.sum(occ[modes] * traced_before[modes], axis=0)
     tensor = (signs * state.amplitudes).reshape((2,) * n).transpose(modes + traced)
     block = tensor.reshape(2 ** len(modes), 2 ** len(traced))

@@ -169,7 +169,7 @@ class Bipartition:
 def quadrature_indices(modes) -> np.ndarray:
     """Row/column indices of the quadratures of the given modes, in order."""
     modes = np.asarray(list(modes), dtype=int)
-    return np.column_stack((2 * modes, 2 * modes + 1)).reshape(-1)
+    return (2 * modes[:, None] + np.arange(2)).reshape(-1)
 
 
 def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
@@ -282,7 +282,7 @@ def restrict(state: CovarianceMatrix, modes) -> CovarianceMatrix:
     modes = list(modes)
     _check_mode_subset(modes, state.n_modes)
     q = quadrature_indices(modes)
-    return CovarianceMatrix(state.matrix[np.ix_(q, q)])
+    return CovarianceMatrix(state.matrix[q[:, None], q])
 
 
 def haar_orthogonal(dim: int, seed) -> np.ndarray:

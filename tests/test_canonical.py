@@ -12,8 +12,11 @@ from fermi_modewise import (
     haar_orthogonal,
     hamiltonian_to_majorana,
     is_orthogonal,
+    isotropic_fcm,
+    j_blocks,
     kitaev_hamiltonian,
     lambda_blocks,
+    quadrature_indices,
     restrict,
     williamson_form,
 )
@@ -231,3 +234,33 @@ def test_is_orthogonal():
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     assert is_orthogonal(q)
     assert not is_orthogonal(np.ones((2, 3)))
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("lambdas", [[0.7, 0.0, 0.25], [0.0], [1.0, 1e-300, 0.5, 0.0], []])
+def test_lambda_blocks_are_the_kron_formula_bit_for_bit(lambdas):
+    # kron leaves -0.0 = 0.0 * -1.0 at every even-odd entry off the blocks and
+    # at a zero lambda; tobytes compares np.signbit too
+    expected = np.kron(np.diag(np.asarray(lambdas, dtype=float)), J2)
+    assert _same_bits(lambda_blocks(np.array(lambdas)), expected)
+    assert _same_bits(lambda_blocks(lambdas), expected)
+
+
+@pytest.mark.parametrize("n_blocks", [0, 1, 4])
+def test_j_blocks_are_the_kron_formula_bit_for_bit(n_blocks):
+    assert _same_bits(j_blocks(n_blocks), np.kron(np.eye(n_blocks), J2))
+
+
+def test_principal_blocks_of_a_state_are_returned_by_antisymmetrize_bit_for_bit():
+    # the precondition under which decompose skips antisymmetrize's check
+    rng = np.random.default_rng(4)
+    states = [isotropic_fcm(7, 0.6, 1), ground_state_fcm(kitaev_hamiltonian(9, 0.5, 1.0, 1.0)).state,
+              diagonal_fcm([0.3, 0.0, 0.9])]
+    for state in states:
+        for _ in range(5):
+            q = quadrature_indices(rng.permutation(state.n_modes)[: rng.integers(1, state.n_modes)])
+            block = state.matrix[q[:, None], q]
+            assert _same_bits(antisymmetrize(block), block)

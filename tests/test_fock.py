@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import tracemalloc
 from functools import reduce
 from itertools import combinations
@@ -25,9 +26,10 @@ from fermi_modewise import (
     reduced_density,
     schmidt_entropy,
 )
+from fermi_modewise import fock
 from fermi_modewise.fock import _GAP_TOL, _majorana_action, _occupations, _sector, _sector_block
 from fermi_modewise.models import kitaev_hamiltonian
-from fermi_modewise.verify import random_gaussian_state, random_quadratic_hamiltonian
+from fermi_modewise.verify import random_gaussian_state, random_quadratic_hamiltonian, run_all
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -165,6 +167,50 @@ def test_dense_ground_state_never_forms_the_full_matrix():
     # 16 MiB is the 2^10 x 2^10 complex matrix; one 2^9 x 2^9 block takes 4 MiB
     ham = random_quadratic_hamiltonian(10, np.random.default_rng(10))
     assert _traced_peak(dense_ground_state, ham) < 16 * 2**20
+
+
+def _clear_fock_caches():
+    caches = [f for f in vars(fock).values() if hasattr(f, "cache_clear")]
+    for cached in caches:
+        cached.cache_clear()
+    return caches
+
+
+def test_dense_ground_state_cold_peak_at_ten_modes():
+    # a cold call also builds the index arrays it keeps for N = 10 (about 3.7 MiB)
+    _clear_fock_caches()
+    ham = random_quadratic_hamiltonian(10, np.random.default_rng(10))
+    assert _traced_peak(dense_ground_state, ham) < 13 * 2**20
+
+
+def test_every_cached_fock_array_is_read_only():
+    caches = _clear_fock_caches()
+    assert {f.__name__ for f in caches} >= {"_occupations", "_majorana_action", "_sector_terms"}
+    for cached in caches:
+        names = inspect.signature(cached).parameters
+        for n_modes, parity in ((1, 0), (4, 1), (5, 0)):
+            values = {"n_modes": n_modes, "parity": parity}
+            result = cached(*(values[name] for name in names))
+            for array in result if isinstance(result, tuple) else (result,):
+                assert isinstance(array, np.ndarray) and not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = array
+
+
+def test_verify_lines_do_not_depend_on_the_cache_state():
+    _clear_fock_caches()
+    cold = [result.line() for result in run_all(max_modes=4, trials=4)]
+    assert [result.line() for result in run_all(max_modes=4, trials=4)] == cold
+
+
+def test_dense_ground_state_bits_do_not_depend_on_the_cache_history():
+    hams = {n: random_quadratic_hamiltonian(n, np.random.default_rng(n)) for n in (3, 9, 10)}
+    _clear_fock_caches()
+    first = {}
+    for n in (3, 9, 3, 10, 3):
+        state, energy, degenerate = dense_ground_state(hams[n])
+        bits = (state.amplitudes.tobytes(), energy, degenerate)
+        assert first.setdefault(n, bits) == bits
 
 
 def test_dense_ground_energy_matches_covariance_route_on_kitaev_chain():

@@ -27,6 +27,7 @@ from fermi_modewise import (
     modewise_decompose,
     pair_block,
     pair_spectrum,
+    quadrature_indices,
     random_pure_fcm,
     restrict,
     williamson_form,
@@ -385,3 +386,18 @@ def test_bipartition_validation():
         Bipartition((0,), (3,))
     part = Bipartition((2, 0), (1,))
     assert part.n_modes == 3
+
+
+@pytest.mark.parametrize("modes", [(3, 0, 2), [1, 4], range(2, 5), "generator",
+                                   np.array([5, 1], dtype=np.int32), ()])
+def test_quadrature_indices_values_and_dtype(modes):
+    if isinstance(modes, str):
+        modes, reference = (i for i in (2, 0)), (2, 0)
+    else:
+        reference = modes
+    # the column_stack formula quadrature_indices had before it filled one array
+    m = np.asarray(list(reference), dtype=int)
+    expected = np.column_stack((2 * m, 2 * m + 1)).reshape(-1)
+    q = quadrature_indices(modes)
+    assert q.dtype == expected.dtype and q.shape == expected.shape
+    assert np.array_equal(q, expected)
