@@ -167,15 +167,15 @@ def pair_spectrum(state: CovarianceMatrix, partition: Bipartition) -> PairSpectr
     rows_a = quadrature_indices(partition.a_modes)
     rows_b = quadrature_indices(partition.b_modes)
     rows_small = rows_a if len(rows_a) <= len(rows_b) else rows_b
-    cross = state.matrix[rows_a[:, None], rows_b]
-    local = state.matrix[rows_small[:, None], rows_small]
-    if _chiral_block(state.matrix) is None:
-        sigma = _svdvals(cross)
+    m = state.matrix
+    if _chiral_block(m) is None:
+        sigma = _svdvals(m[rows_a[:, None], rows_b])
         kappas, copies = sigma[0::2], sigma[1::2]
-        lams = _svdvals(local)[0::2]
+        lams = _svdvals(m[rows_small[:, None], rows_small])[0::2]
     else:
-        kappas, copies = _svdvals(cross[0::2, 1::2]), _svdvals(cross[1::2, 0::2])
-        lams = _svdvals(local[0::2, 1::2])
+        kappas = _svdvals(m[rows_a[0::2, None], rows_b[1::2]])
+        copies = _svdvals(m[rows_a[1::2, None], rows_b[0::2]])
+        lams = _svdvals(m[rows_small[0::2, None], rows_small[1::2]])
     _check_commuting_part(0.5 * float(np.max(np.abs(kappas - copies), initial=0.0)))
     pairs = [PairValues(float(lam), float(kappa), float(0.5 * np.arctan2(kappa, lam)))
              for lam, kappa in zip(lams[::-1], kappas) if kappa > _PAIR_TOL]

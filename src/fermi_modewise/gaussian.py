@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .canonical import _chiral_block, antisymmetrize, j_blocks, lambda_blocks, williamson_form
+from .canonical import (
+    _ANTISYMMETRY_TOL, _chiral_block, antisymmetrize, j_blocks, lambda_blocks, williamson_form)
 from .errors import InvalidInputError
 
 if TYPE_CHECKING:
@@ -40,7 +41,10 @@ class CovarianceMatrix:
     1e-12) and forms M^2 once.  It rejects unphysical matrices, whose
     Williamson eigenvalues exceed 1 + 1e-9, and keeps the isotropy fit
     ``lambda0_sq`` = -tr(M^2) / 2N and ``isotropy_deviation`` = max|M^2 + lambda0_sq|.
-    A chiral M, zero at every (even, even) and (odd, odd) entry, squares to
+    A chiral input, zero at every (even, even) and (odd, odd) entry, is
+    checked on its N x N blocks B = mat[0::2, 1::2] and C = mat[1::2, 0::2]
+    alone, as max|B + C^T|; M = (mat - mat^T) / 2 has the bits of
+    ``antisymmetrize`` either way.  A chiral M squares to
     diag(-B B^T, -B^T B) in even-odd order with B = M[0::2, 1::2]: two N x N
     products and two N x N Cholesky factorizations replace the 2N x 2N ones.
     Two states are equal iff their matrices are equal entrywise.
@@ -51,19 +55,31 @@ class CovarianceMatrix:
     isotropy_deviation: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = antisymmetrize(self.matrix)
+        mat = np.asarray(self.matrix, dtype=float)
+        block = _chiral_block(mat) if mat.ndim == 2 and mat.shape[0] == mat.shape[1] else None
+        if block is not None:
+            # A chiral input's mat + mat^T is B + C^T, its transpose and zeros.
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = block + mat[1::2, 0::2].T
+            if not max(sums.max(initial=0.0), -sums.min(initial=0.0)) <= _ANTISYMMETRY_TOL:
+                block = None
+        if block is None:
+            m = antisymmetrize(mat)  # words the error of a failed check, too
+            block = _chiral_block(m)
+        else:
+            m = mat - mat.T  # the bits of antisymmetrize
+            m *= 0.5
         dim = m.shape[0]
         if dim % 2:
             raise InvalidInputError(f"covariance matrix dimension must be even, got {dim}")
         m.flags.writeable = False
         # M^2 has eigenvalues -l_k^2; a chiral M squares blockwise, with
         # M[1::2, 0::2] = -B^T, each copied once rather than once per product.
-        block = _chiral_block(m)
         with np.errstate(over="ignore", invalid="ignore"):
             if block is None:
                 squares = [m @ m]
             else:
-                b, minus_bt = np.ascontiguousarray(block), np.ascontiguousarray(m[1::2, 0::2])
+                b, minus_bt = (np.ascontiguousarray(m[p::2, 1 - p::2]) for p in (0, 1))
                 squares = [b @ minus_bt, minus_bt @ b]
             lam0_sq = -sum(float(np.trace(sq)) for sq in squares) / max(dim, 1)
             deviations = []
@@ -108,7 +124,8 @@ class QuadraticHamiltonian:
     matrix A, both N x N complex.  The constructor rejects non-finite entries
     and deviations max|C - C^dag| or max|A + A^T| beyond 1e-12, and keeps
     read-only complex copies of both matrices: a validated Hamiltonian is
-    frozen and cannot change.
+    frozen and cannot change.  A matrix whose imaginary parts are all zero is
+    checked on its real N x N part, which gives the same deviation.
     """
 
     hopping: np.ndarray
@@ -125,8 +142,9 @@ class QuadraticHamiltonian:
         # A NaN or inf entry always leaves its deviation non-finite, so the
         # entries are tested only after a deviation fails, to word the error.
         with np.errstate(invalid="ignore", over="ignore"):
-            herm = np.max(np.abs(hopping - hopping.conj().T), initial=0.0)
-            anti = np.max(np.abs(pairing + pairing.T), initial=0.0)
+            c, a = (mat.real if not mat.imag.any() else mat for mat in (hopping, pairing))
+            herm = np.max(np.abs(c - c.conj().T), initial=0.0)
+            anti = np.max(np.abs(a + a.T), initial=0.0)
         for name, mat, deviation, failure in (
                 ("hopping", hopping, herm, "is not hermitian: max|C - C^dag|"),
                 ("pairing", pairing, anti, "is not antisymmetric: max|A + A^T|")):
@@ -172,12 +190,8 @@ def quadrature_indices(modes) -> np.ndarray:
     return (2 * modes[:, None] + np.arange(2)).reshape(-1)
 
 
-def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
-    """Rewrite a quadratic Hamiltonian as (i/4) g^T h g + offset; returns ``(h, offset)``.
-
-    Uses b_i = (g_{2i} - i g_{2i+1}) / 2; ``h`` is real and exactly
-    antisymmetric, and the offset collects the normal-ordering constant.
-    """
+def _majorana_blocks(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
+    """``hamiltonian_to_majorana`` as ``(blocks, offset)`` with ``blocks[p, q] = h[p::2, q::2]``."""
     # Each term C_ij b_i^dag b_j, A_ij b_i^dag b_j^dag and -A*_ij b_i b_j adds
     # its coefficient times the outer product of the two operators' quadrature
     # coefficients, [[1, -i], [i, 1]], [[1, i], [i, -1]] and [[1, -i], [-i, -1]],
@@ -189,17 +203,32 @@ def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> tuple[np.ndarray, floa
     # Contiguous copies of the parts: the views of the complex arrays are strided.
     c, c_im, a, a_im = (np.ascontiguousarray(part) for part in (
         ham.hopping.real, ham.hopping.imag, ham.pairing.real, ham.pairing.imag))
-    imag = [[(c_im + a_im) + a_im, (a - c) + a], [(c + a) + a, (c_im - a_im) - a_im]]
-    coupling = np.empty((2 * ham.n_modes, 2 * ham.n_modes))
-    for p in (0, 1):
-        for q in (0, 1):
-            # h = 2 Im(quad - quad^T)
-            coupling[p::2, q::2] = 0.5 * (imag[p][q] - imag[q][p].T)
-    # The offset is Re tr(quad), summed as the complex trace sums it.
-    dc, da = np.diagonal(c), np.diagonal(a)
-    diagonal = np.zeros(2 * ham.n_modes, dtype=complex)
-    diagonal.real[0::2], diagonal.real[1::2] = (dc + da) - da, (dc - da) + da
-    return coupling, 0.25 * float(diagonal.sum().real)
+    blocks = np.empty((2, 2) + c.shape)
+    # Sums that overflow leave h non-finite, which its users refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        imag = [[(c_im + a_im) + a_im, (a - c) + a], [(c + a) + a, (c_im - a_im) - a_im]]
+        for p, q in np.ndindex(2, 2):
+            np.subtract(imag[p][q], imag[q][p].T, out=blocks[p, q])
+        blocks *= 0.5  # h = 2 Im(quad - quad^T)
+        # The offset is Re tr(quad), summed as the complex trace sums it.
+        dc, da = np.diagonal(c), np.diagonal(a)
+        diagonal = np.zeros(2 * ham.n_modes, dtype=complex)
+        diagonal.real[0::2], diagonal.real[1::2] = (dc + da) - da, (dc - da) + da
+        return blocks, 0.25 * float(diagonal.sum().real)
+
+
+def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
+    """Rewrite a quadratic Hamiltonian as (i/4) g^T h g + offset; returns ``(h, offset)``.
+
+    Uses b_i = (g_{2i} - i g_{2i+1}) / 2; ``h`` is real and exactly
+    antisymmetric, and the offset collects the normal-ordering constant.
+    Each N x N block h[p::2, q::2] is formed on its own from the parts of C
+    and A; for a real Hamiltonian h[0::2, 0::2] and h[1::2, 1::2] are zero.
+    Sums that overflow leave h non-finite without a numpy warning.
+    """
+    blocks, offset = _majorana_blocks(ham)
+    # h[2i + p, 2j + q] = blocks[p, q, i, j]
+    return blocks.transpose(2, 0, 3, 1).reshape((2 * ham.n_modes,) * 2), offset
 
 
 class GroundState(NamedTuple):
@@ -224,26 +253,35 @@ def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundState:
     Any e_k <= 1e-8 flags a (nearly) degenerate ground manifold; the returned
     M is still deterministic.
 
-    A real Hamiltonian (real C and A) has a chiral coupling h, zero at every
-    (even, even) and (odd, odd) entry.  Then the only nonzero block of X is
-    X[1::2, 0::2] = O[0::2, 1::2]^T O[1::2, 0::2], one N x N product, and M is
-    exactly chiral too, so the Williamson forms of M and of its restrictions,
-    and the constructor's M^2, take the N x N routes.
+    The coupling h is formed in N x N blocks.  When h[0::2, 0::2] and
+    h[1::2, 1::2] are zero, as for every real Hamiltonian (real C and A), h is
+    chiral and is not assembled: the SVD h[0::2, 1::2] = U diag(e) V^T of
+    ``williamson_form``'s chiral route gives O[0::2, 1::2] = V^T and
+    O[1::2, 0::2] = U^T, so X has one nonzero block, X[1::2, 0::2] = V U^T.
+    M is then exactly chiral too, and the constructor, restrictions and
+    Williamson forms of M take their N x N routes.  Any other h is assembled
+    and passed to ``williamson_form``.  A non-finite h raises InvalidInputError.
     """
-    coupling, offset = hamiltonian_to_majorana(ham)
-    form = williamson_form(coupling)
-    o = form.orthogonal
-    if _chiral_block(coupling) is None:
+    blocks, offset = _majorana_blocks(ham)
+    if blocks[0, 0].any() or blocks[1, 1].any():
+        form = williamson_form(blocks.transpose(2, 0, 3, 1).reshape((2 * ham.n_modes,) * 2))
+        o, lambdas = form.orthogonal, form.lambdas
         x = o[0::2].T @ o[1::2]
         matrix = x.T - x
     else:
-        x = o[0::2, 1::2].T @ o[1::2, 0::2]
-        matrix = np.zeros_like(o)
+        # h is exactly antisymmetric, so williamson_form would check its
+        # entries and pass this block to the same SVD bit for bit.
+        if not np.isfinite(blocks[0, 1]).all():
+            raise InvalidInputError("matrix has non-finite entries")
+        u, sigma, vt = np.linalg.svd(blocks[0, 1])
+        lambdas = np.abs(sigma)
+        x = vt.T @ u.T
+        matrix = np.zeros((2 * ham.n_modes,) * 2)
         # X^T - X entry by entry; 0.0 - x keeps the sign of X^T - X at exact zeros.
         matrix[0::2, 1::2] = x.T
         matrix[1::2, 0::2] = 0.0 - x
-    energy = offset - 0.5 * float(np.sum(form.lambdas))
-    degenerate = bool(np.any(form.lambdas <= _DEGENERACY_TOL))
+    energy = offset - 0.5 * float(np.sum(lambdas))
+    degenerate = bool(np.any(lambdas <= _DEGENERACY_TOL))
     return GroundState(CovarianceMatrix(matrix), energy, degenerate)
 
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,22 @@ def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, 
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["generate"],
+    ["sweep", "--param", "mu", "--values", "1", "--cut", "2"],
+    ["sweep", "--scan-cut"],
+], ids=["generate", "sweep", "sweep-scan-cut"])
+def test_cli_overflowing_coupling_is_one_error_line_without_a_warning(capsys, command):
+    # delta = 1e308 overflows the sums of the Majorana coupling blocks
+    chain = ["--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1e308"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command[0], *chain, *command[1:])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: matrix has non-finite entries"]
+    assert [str(w.message) for w in caught] == []
 
 
 def test_cli_sweep_cut_scan_builds_the_model_once(capsys, monkeypatch):

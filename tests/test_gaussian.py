@@ -12,6 +12,7 @@ from fermi_modewise import (
     J2,
     NotIsotropicError,
     QuadraticHamiltonian,
+    antisymmetrize,
     diagonal_fcm,
     dense_ground_state,
     fcm_from_state,
@@ -32,6 +33,7 @@ from fermi_modewise import (
     restrict,
     williamson_form,
 )
+from fermi_modewise.canonical import _chiral_block
 from fermi_modewise.verify import random_quadratic_hamiltonian
 from test_fock import jordan_wigner_majoranas
 
@@ -117,6 +119,25 @@ def test_hamiltonian_names_non_finite_entries(matrix, entry, value):
         QuadraticHamiltonian(mats["hopping"], mats["pairing"])
 
 
+@pytest.mark.parametrize("matrix", ["hopping", "pairing"])
+def test_hamiltonian_deviation_is_the_same_for_real_and_complex_input(matrix):
+    # a C or A with zero imaginary parts is checked on its real part; the
+    # reported deviation must be the complex modulus of the same entries
+    bad = np.zeros((3, 3))
+    bad[0, 1] = 3e-12  # C[0, 1] - C[1, 0] = A[0, 1] + A[1, 0] = 3e-12
+    # i K with K real antisymmetric is both hermitian and antisymmetric
+    imag = 1j * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    messages = []
+    for mat in (bad, bad.astype(complex), bad + imag):
+        mats = {"hopping": np.zeros((3, 3)), "pairing": np.zeros((3, 3)), matrix: mat}
+        with pytest.raises(InvalidInputError) as raised:
+            QuadraticHamiltonian(mats["hopping"], mats["pairing"])
+        messages.append(str(raised.value))
+    failure = "is not hermitian: max|C - C^dag|" if matrix == "hopping" else \
+        "is not antisymmetric: max|A + A^T|"
+    assert messages == [f"{matrix} matrix {failure} = 3.000e-12"] * 3
+
+
 def test_hamiltonian_is_frozen_with_read_only_copies():
     hopping = np.eye(2, dtype=complex)
     ham = QuadraticHamiltonian(hopping, np.zeros((2, 2)))
@@ -164,7 +185,8 @@ def test_ground_state_is_pure_and_matches_dense_oracle():
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 256])
 def test_chain_ground_state_is_the_dense_product_bit_for_bit(n):
     # M = X^T - X with X = O[0::2]^T O[1::2], formed as one dense 2N x 2N product
-    for mu, delta in ((0.5, 1.0), (2.0, 1.0), (0.0, 0.0)):
+    # mu = 1, delta = 0.5 has delta != t, so its even-odd coupling block is tridiagonal
+    for mu, delta in ((0.5, 1.0), (2.0, 1.0), (0.0, 0.0), (1.0, 0.5)):
         ham = kitaev_hamiltonian(n, mu, 1.0, delta)
         o = williamson_form(hamiltonian_to_majorana(ham)[0]).orthogonal
         x = o[0::2].T @ o[1::2]
@@ -224,6 +246,44 @@ def test_chiral_isotropy_fit_matches_the_full_square(state):
     deviation = float(np.max(np.abs(msq + lam0_sq * np.eye(msq.shape[0]))))
     assert state.lambda0_sq == pytest.approx(lam0_sq, abs=1e-15)
     assert state.isotropy_deviation == pytest.approx(deviation, abs=1e-15)
+
+
+def _signed_zero_chiral_input():
+    """A chiral isotropic input whose blocks hold +0.0 and -0.0 in every sign pairing."""
+    b = 0.5 * haar_orthogonal(4, 7)
+    b[0, 1] = b[1, 2] = b[2, 3] = b[3, 0] = 0.0
+    mat = np.zeros((8, 8))
+    mat[0::2, 1::2], mat[1::2, 0::2] = b, -b.T  # (b[i, j], -b[j, i]) = (0.0, -0.0) at the zeros
+    mat[0::2, 1::2][1, 2] = -0.0                # (-0.0, -0.0)
+    mat[0::2, 1::2][2, 3], mat[1::2, 0::2][3, 2] = -0.0, 0.0  # (-0.0, 0.0)
+    mat[1::2, 0::2][0, 3] = 0.0                 # (0.0, 0.0)
+    mat[0::2, 0::2][0, 1] = mat[1::2, 1::2][2, 3] = mat[1::2, 1::2][3, 2] = -0.0
+    return mat
+
+
+@pytest.mark.parametrize("deviation", [0.0, 5e-13], ids=["exact", "averaged"])
+def test_chiral_input_gives_the_antisymmetric_part_bit_for_bit(deviation):
+    # the constructor checks a chiral input on its off-diagonal blocks only; its
+    # matrix must still be 0.5 (M - M^T) to the bit, signed zeros included
+    mat = _signed_zero_chiral_input()
+    mat[0, 1] += deviation
+    assert _chiral_block(mat) is not None
+    assert CovarianceMatrix(mat).matrix.tobytes() == (0.5 * (mat - mat.T)).tobytes()
+
+
+@pytest.mark.parametrize("row, col, value", [
+    (0, 1, 2e-12), (0, 1, np.nan), (3, 0, np.inf), (5, 2, -np.inf), (2, 2, np.nan), (0, 2, np.inf),
+], ids=["deviation", "nan", "inf", "-inf", "nan-in-diagonal-block", "inf-in-diagonal-block"])
+def test_chiral_input_is_refused_with_the_antisymmetrize_message(row, col, value):
+    mat = _signed_zero_chiral_input()
+    mat[row, col] = mat[row, col] + value if value == 2e-12 else value
+    with pytest.raises(InvalidInputError) as expected:
+        antisymmetrize(mat)
+    with pytest.raises(InvalidInputError) as raised:
+        CovarianceMatrix(mat)
+    assert str(raised.value) == str(expected.value)
+    assert str(expected.value).startswith(("matrix has non-finite entries",
+                                           "matrix is not antisymmetric: max|M + M^T| = 2.000e-12"))
 
 
 def test_covariance_matrix_is_frozen_and_read_only():

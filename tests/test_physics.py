@@ -18,10 +18,10 @@ N = 128
 
 
 @functools.lru_cache(maxsize=None)
-def _mid_cut(mu):
+def _mid_cut(mu, n=N):
     """The ground state and its mid-cut decomposition and pair spectrum."""
-    ground = ground_state_fcm(kitaev_hamiltonian(N, mu, 1.0, 1.0))
-    half = Bipartition(tuple(range(N // 2)), tuple(range(N // 2, N)))
+    ground = ground_state_fcm(kitaev_hamiltonian(n, mu, 1.0, 1.0))
+    half = Bipartition(tuple(range(n // 2)), tuple(range(n // 2, n)))
     return ground, (modewise_decompose(ground.state, half), pair_spectrum(ground.state, half))
 
 
@@ -50,9 +50,15 @@ def test_trivial_chain_has_no_maximally_entangled_pair():
 
 @pytest.mark.parametrize("mu, entropy", [(0.5, 1.0681108421216001), (3.0, 0.41594530152505826)])
 def test_mid_cut_entropy_is_the_readme_scan_value(mu, entropy):
-    # the cut = 64 row of the README's --scan-cut example, in bits
-    for route in _mid_cut(mu)[1]:
-        assert pure_mode_entanglement(route).total_modes_entropy == pytest.approx(entropy, abs=1e-12)
+    # The cut = 64 row of the README's --scan-cut example, in bits.  Both chains
+    # are gapped, so by the area law S(N/2) is flat in N: N = 256 gives the
+    # same value to 1.5e-15, while N = 64 is still 8e-12 (mu = 0.5) and 1.5e-9
+    # (mu = 3) off.  The value needs the pi/4 edge pair of mu = 0.5 and every
+    # small kappa at its full weight.
+    for n in (N, 2 * N):
+        for route in _mid_cut(mu, n)[1]:
+            total = pure_mode_entanglement(route).total_modes_entropy
+            assert total == pytest.approx(entropy, abs=1e-12)
 
 
 @pytest.mark.parametrize("mu, delta, central_charge, band", [(0.0, 0.0, 1.0, 0.05), (2.0, 1.0, 0.5, 0.025)])
