@@ -276,7 +276,7 @@ def test_chiral_input_gives_the_antisymmetric_part_bit_for_bit(deviation):
 ], ids=["deviation", "nan", "inf", "-inf", "nan-in-diagonal-block", "inf-in-diagonal-block"])
 def test_chiral_input_is_refused_with_the_antisymmetrize_message(row, col, value):
     mat = _signed_zero_chiral_input()
-    mat[row, col] = mat[row, col] + value if value == 2e-12 else value
+    mat[row, col] = mat[row, col] + value if np.isfinite(value) else value  # perturb or replace
     with pytest.raises(InvalidInputError) as expected:
         antisymmetrize(mat)
     with pytest.raises(InvalidInputError) as raised:
