@@ -20,7 +20,6 @@ from .decompose import (
     EntangledPair,
     ModewiseDecomposition,
     PairSpectrum,
-    PairValues,
     ResidualMode,
     modewise_decompose,
     pair_block,
@@ -84,7 +83,6 @@ __all__ = [
     "EntangledPair",
     "ModewiseDecomposition",
     "PairSpectrum",
-    "PairValues",
     "ResidualMode",
     "modewise_decompose",
     "pair_block",

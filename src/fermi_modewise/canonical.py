@@ -76,7 +76,8 @@ def antisymmetrize(mat: np.ndarray) -> np.ndarray:
             f"matrix is not antisymmetric: max|M + M^T| = {deviation:.3e} > "
             f"{_ANTISYMMETRY_TOL:.3e}"
         )
-    np.subtract(mat, mat.T, out=out)
+    with np.errstate(over="ignore"):
+        np.subtract(mat, mat.T, out=out)
     out *= 0.5
     return out
 

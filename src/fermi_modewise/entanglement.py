@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from .decompose import ModewiseDecomposition, PairSpectrum
+from .decompose import PairSpectrum
 from .errors import InvalidInputError
 
 _LN2 = float(np.log(2.0))
@@ -110,7 +110,7 @@ def ppt_min_eigenvalue(lambda0: float, lam: float, kappa: float) -> float:
     return float(np.linalg.eigvalsh(swapped)[0])
 
 
-def pure_mode_entanglement(decomp: ModewiseDecomposition | PairSpectrum) -> EntanglementReport:
+def pure_mode_entanglement(decomp: PairSpectrum) -> EntanglementReport:
     """Entanglement of modes of a pure decomposition or pair spectrum, in bits.
 
     Each pair contributes the binary entropy of its Schmidt weight
@@ -124,14 +124,14 @@ def pure_mode_entanglement(decomp: ModewiseDecomposition | PairSpectrum) -> Enta
     return isotropic_separability(decomp)
 
 
-def isotropic_separability(decomp: ModewiseDecomposition | PairSpectrum) -> EntanglementReport:
+def isotropic_separability(decomp: PairSpectrum) -> EntanglementReport:
     """Pairwise separability verdict for an isotropic decomposition.
 
     The state counts as separable across the bipartition iff every pair
     passes the two-qubit partial-transpose test of ``ppt_pair_entangled``.
-    Entropy fields are filled when the input happens to be pure.  Only
-    ``lambda0``, ``pure`` and each pair's kappa and theta are read, so a
-    ``PairSpectrum`` gives the report of the decomposition, up to rounding.
+    Entropy fields are filled when the input happens to be pure.  Only the
+    fields of ``PairSpectrum`` are read, so ``pair_spectrum`` gives the report
+    of ``modewise_decompose``, up to rounding.
     """
     lambda0 = _clamped_lambda0(decomp.lambda0)
     flags = [ppt_pair_entangled(lambda0, min(p.kappa, lambda0)) for p in decomp.pairs]

@@ -318,7 +318,7 @@ def reconstruct_state(decomp: ModewiseDecomposition, reference: FockState):
     lower = 0.5 * (rotation[0::2] - 1.0j * rotation[1::2])  # b_k = lower[k] . g
     annihilators = lower.copy()
     for pair in decomp.pairs:
-        a, b = pair.a_mode, m + pair.b_mode
+        a, b = pair.mode, m + pair.mode
         cos, sin = np.cos(pair.theta), np.sin(pair.theta)
         annihilators[a] = cos * lower[a] + sin * lower[b].conj()
         annihilators[b] = cos * lower[b] - sin * lower[a].conj()

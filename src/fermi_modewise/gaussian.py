@@ -39,7 +39,8 @@ class CovarianceMatrix:
 
     The constructor antisymmetrizes the input (rejecting deviations beyond
     1e-12) and forms M^2 once.  It rejects unphysical matrices, whose
-    Williamson eigenvalues exceed 1 + 1e-9, and keeps the isotropy fit
+    Williamson eigenvalues exceed 1 + 1e-9, and matrices whose entries
+    overflow M to non-finite values, and keeps the isotropy fit
     ``lambda0_sq`` = -tr(M^2) / 2N and ``isotropy_deviation`` = max|M^2 + lambda0_sq|.
     A chiral input, zero at every (even, even) and (odd, odd) entry, is
     checked on its N x N blocks B = mat[0::2, 1::2] and C = mat[1::2, 0::2]
@@ -67,7 +68,8 @@ class CovarianceMatrix:
             m = antisymmetrize(mat)  # words the error of a failed check, too
             block = _chiral_block(m)
         else:
-            m = mat - mat.T  # the bits of antisymmetrize
+            with np.errstate(over="ignore"):
+                m = mat - mat.T  # the bits of antisymmetrize
             m *= 0.5
         dim = m.shape[0]
         if dim % 2:
@@ -94,8 +96,11 @@ class CovarianceMatrix:
             deviation = float(np.max(deviations))
         if not np.isfinite(deviation) or any(
                 _POTRF(sq.T, overwrite_a=True, clean=False)[1] for sq in squares):
-            # The singular values, the Williamson eigenvalues twice, word the error.
-            sigma = np.linalg.svd(m, compute_uv=False)
+            # The singular values, the Williamson eigenvalues twice, word the
+            # error; entries near the float limit can overflow M itself.
+            sigma = np.linalg.svd(m, compute_uv=False) if np.isfinite(m).all() else [np.nan]
+            if np.isnan(sigma).any():
+                raise InvalidInputError("covariance matrix entries overflow to non-finite values")
             bad = sigma[sigma > 1.0 + PHYSICALITY_TOL]
             if bad.size:
                 raise InvalidInputError(
@@ -293,7 +298,7 @@ def isotropy_parameter(state: CovarianceMatrix):
 
 
 def is_pure(state: CovarianceMatrix) -> bool:
-    """True iff the state is isotropic with |l0 - 1| <= 1e-9, as ``ModewiseDecomposition.pure``."""
+    """True iff the state is isotropic with |l0 - 1| <= 1e-9, as ``PairSpectrum.pure``."""
     lambda0 = isotropy_parameter(state)
     return lambda0 is not None and abs(lambda0 - 1.0) <= PURITY_TOL
 

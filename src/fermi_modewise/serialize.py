@@ -128,8 +128,8 @@ def decomposition_to_dict(decomp: ModewiseDecomposition, residual: float) -> dic
                 "lambda": p.lam,
                 "kappa": p.kappa,
                 "theta": p.theta,
-                "a_mode": p.a_mode + 1,
-                "b_mode": p.b_mode + 1,
+                "a_mode": p.mode + 1,
+                "b_mode": p.mode + 1,
             }
             for p in decomp.pairs
         ],

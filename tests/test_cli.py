@@ -116,6 +116,12 @@ def test_cli_json_files_are_the_bytes_of_json_dump(capsys, tmp_path, state, part
     written = json.loads(decomp_path.read_text())
     for key, side in zip(("transform_a", "transform_b"), partition.split(";")):
         assert (written[key] == []) == (side == "")
+    # pair k sits on mode k of both sides; the residual modes continue the count
+    n_pairs = len(written["pairs"])
+    assert all(p["a_mode"] == p["b_mode"] for p in written["pairs"])
+    for key, side in zip(("residual_a", "residual_b"), partition.split(";")):
+        size = len(side.split(",")) if side else 0
+        assert [r["mode"] for r in written[key]] == list(range(n_pairs + 1, size + 1))
 
     code, _, err = run(capsys, "williamson", "--input", str(fcm_path), "--out-transform",
                        str(transform_path))
@@ -387,6 +393,29 @@ def test_cli_overflowing_coupling_is_one_error_line_without_a_warning(capsys, co
         code, out, err = run(capsys, command[0], *chain, *command[1:])
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: matrix has non-finite entries"]
+    assert [str(w.message) for w in caught] == []
+
+
+OVERFLOWING_MATRICES = {
+    "chiral": [[0, 1e308, 0, 0], [-1e308, 0, 0, 0], [0, 0, 0, 0.5], [0, 0, -0.5, 0]],
+    "non-chiral": [[0, 1e308, 1e-3, 0], [-1e308, 0, 0, 0], [-1e-3, 0, 0, 0.5], [0, 0, -0.5, 0]],
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["entropy", "--partition", "1;2"], ["decompose", "--partition", "1;2"], ["williamson"],
+], ids=["entropy", "decompose", "williamson"])
+@pytest.mark.parametrize("kind", sorted(OVERFLOWING_MATRICES))
+def test_cli_overflowing_covariance_is_one_error_line_without_a_warning(
+        capsys, tmp_path, kind, command):
+    # (M - M^T) / 2 overflows to +-inf entries
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"n_modes": 2, "matrix": OVERFLOWING_MATRICES[kind]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, command[0], "--input", str(path), *command[1:])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: covariance matrix entries overflow to non-finite values"]
     assert [str(w.message) for w in caught] == []
 
 

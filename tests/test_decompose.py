@@ -117,7 +117,7 @@ def joint_block_form_deviation(decomp, state: CovarianceMatrix) -> float:
     rotation[2 * m :, quadrature_indices(part.b_modes)] = decomp.transform_b
     blocks = np.zeros((2 * n, 2 * n))
     for pair in decomp.pairs:
-        q = quadrature_indices([pair.a_mode, m + pair.b_mode])
+        q = quadrature_indices([pair.mode, m + pair.mode])
         blocks[np.ix_(q, q)] = pair_block(pair.lam, pair.kappa)
     residuals = [(r.mode, r.lam) for r in decomp.residual_a]
     residuals += [(m + r.mode, r.lam) for r in decomp.residual_b]

@@ -286,6 +286,16 @@ def test_chiral_input_is_refused_with_the_antisymmetrize_message(row, col, value
                                            "matrix is not antisymmetric: max|M + M^T| = 2.000e-12"))
 
 
+@pytest.mark.parametrize("matrix", [
+    [[0, 1e308], [-1e308, 0]],
+    [[0, 1e308, 1e-3, 0], [-1e308, 0, 0, 0], [-1e-3, 0, 0, 0.5], [0, 0, -0.5, 0]],
+], ids=["chiral", "non-chiral"])
+def test_overflowing_covariance_matrix_is_refused(matrix):
+    # finite entries whose antisymmetric part overflows to +-inf
+    with pytest.raises(InvalidInputError, match="^covariance matrix entries overflow"):
+        CovarianceMatrix(matrix)
+
+
 def test_covariance_matrix_is_frozen_and_read_only():
     given = j_blocks(2)
     state = CovarianceMatrix(given)

@@ -3,8 +3,9 @@
 Each state is a direct sum of BCS pairs and local vacua, scaled to lambda0,
 with its modes permuted and, in some cases, side A rotated locally.  The
 angles come out of the full decomposition, of ``pair_spectrum`` and of the
-construction; pure states at N <= 8 also check the entropy against the dense
-Schmidt entropy.
+construction, and both routes put pair k on transformed mode k of each side;
+pure states at N <= 8 also check the entropy against the dense Schmidt
+entropy.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from fermi_modewise import (
     pair_block,
     pair_spectrum,
     quadrature_indices,
+    reconstruction_residual,
     schmidt_entropy,
 )
 
@@ -85,6 +87,16 @@ def test_pair_spectrum_matches_the_decomposition(case):
     # side came out about 5e-10 off.  Elsewhere both routes agree.
     if sum(np.cos(2 * t) <= 1e-8 for t in expected) < 2:
         assert np.max(np.abs(values - full), initial=0.0) <= 1e-14
+        by_mode = {p.mode: p.theta for p in decomp.pairs}
+        assert max((abs(p.theta - by_mode[p.mode]) for p in spectrum.pairs), default=0.0) <= 1e-14
+    # Pair k sits on transformed mode k of both sides; the residual modes follow.
+    n_pairs, n_a = decomp.n_pairs, len(partition.a_modes)
+    for pairs in (decomp.pairs, spectrum.pairs):
+        assert sorted(p.mode for p in pairs) == list(range(n_pairs))
+        assert all(p.a_mode == p.b_mode == p.mode for p in pairs)
+    assert [r.mode for r in decomp.residual_a] == list(range(n_pairs, n_a))
+    assert [r.mode for r in decomp.residual_b] == list(range(n_pairs, state.n_modes - n_a))
+    assert reconstruction_residual(decomp, state) <= 1e-8
     if spectrum.pure and state.n_modes <= 8:
         dense, _, degenerate = dense_ground_state(hamiltonian_with_ground_state(state.matrix))
         assert not degenerate
