@@ -10,7 +10,8 @@ eigenvalues of M; they coincide with the singular values of M, each taken once
 per doubly degenerate pair.  Chiral matrices, exactly zero at every (even,
 even) and (odd, odd) entry, as are the states and couplings of real
 Hamiltonians, need only one N x N SVD; any other M first takes a Hessenberg
-reduction.
+reduction, whose LAPACK routines are loaded from SciPy on first use, so the
+chiral route runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInputError
 
@@ -30,12 +30,18 @@ _ANTISYMMETRY_TOL = 1e-12
 # Largest max|Q Q^T - 1| of an orthogonal matrix.
 _ORTHOGONALITY_TOL = 1e-12
 
-# LAPACK Hessenberg reduction, called directly: on the small blocks of the
-# dense oracle the argument checks of scipy.linalg.hessenberg take longer than
-# the reduction itself.
-_GEHRD, _GEHRD_LWORK, _ORGHR, _ORGHR_LWORK = get_lapack_funcs(
-    ("gehrd", "gehrd_lwork", "orghr", "orghr_lwork"), dtype=np.float64
-)
+
+@lru_cache(maxsize=None)
+def _lapack(names: tuple[str, ...], dtype) -> tuple:
+    """SciPy's LAPACK wrappers of ``names`` for ``dtype``, importing SciPy on the first call.
+
+    The one place in the package that loads SciPy: the routines are called
+    directly because on the small blocks of the dense oracle the argument
+    checks of scipy.linalg.hessenberg or eigh take longer than the work.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    return tuple(get_lapack_funcs(names, dtype=dtype))
 
 
 def j_blocks(n_blocks: int) -> np.ndarray:
@@ -134,7 +140,8 @@ def williamson_form(mat: np.ndarray) -> WilliamsonForm:
 
 @lru_cache(maxsize=256)
 def _hessenberg_lwork(dim: int) -> int:
-    return int(max(_GEHRD_LWORK(dim, lo=0, hi=dim - 1)[0], _ORGHR_LWORK(dim, lo=0, hi=dim - 1)[0]))
+    gehrd_lwork, orghr_lwork = _lapack(("gehrd_lwork", "orghr_lwork"), np.float64)
+    return int(max(gehrd_lwork(dim, lo=0, hi=dim - 1)[0], orghr_lwork(dim, lo=0, hi=dim - 1)[0]))
 
 
 def _williamson_core(m: np.ndarray) -> WilliamsonForm:
@@ -148,10 +155,11 @@ def _williamson_core(m: np.ndarray) -> WilliamsonForm:
     block = _chiral_block(m)
     chiral = block is not None
     if not chiral:
+        gehrd, orghr = _lapack(("gehrd", "orghr"), np.float64)
         n, hi, lwork = dim // 2, dim - 1, _hessenberg_lwork(dim)
-        h, tau, _ = _GEHRD(m, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
+        h, tau, _ = gehrd(m, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
         e = np.diagonal(h, -1).copy()
-        q, _ = _ORGHR(h, tau, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
+        q, _ = orghr(h, tau, lo=0, hi=hi, lwork=lwork, overwrite_a=True)
         block = np.diag(-e[0::2])
         block.reshape(-1)[n::n + 1] = e[1::2]  # the subdiagonal
     u, sigma, vt = np.linalg.svd(block)

@@ -93,14 +93,16 @@ class PairSpectrum:
         return abs(self.lambda0 - 1.0) <= PURITY_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModewiseDecomposition(PairSpectrum):
     """A pair spectrum with the local transforms that realize it.
 
     ``transform_a`` / ``transform_b`` act on the quadratures of the A / B
     modes (in partition order).  Pair k sits on transformed mode k of both
     sides, and the residual modes of each side follow the pairs; all mode
-    indices refer to the transformed local bases, 0-based.
+    indices refer to the transformed local bases, 0-based.  Two
+    decompositions are equal iff their transforms are equal entrywise and
+    their other fields are equal.
     """
 
     transform_a: np.ndarray
@@ -108,6 +110,16 @@ class ModewiseDecomposition(PairSpectrum):
     residual_a: list[ResidualMode]
     residual_b: list[ResidualMode]
     partition: Bipartition = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, ModewiseDecomposition):
+            return False
+        fields = ("lambda0", "pairs", "residual_a", "residual_b", "partition")
+        return bool(
+            np.array_equal(self.transform_a, other.transform_a)
+            and np.array_equal(self.transform_b, other.transform_b)
+            and all(getattr(self, name) == getattr(other, name) for name in fields)
+        )
 
     @property
     def n_modes(self) -> int:

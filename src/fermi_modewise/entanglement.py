@@ -11,10 +11,10 @@ item 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .decompose import PairSpectrum
 from .errors import InvalidInputError
@@ -48,7 +48,16 @@ def binary_entropy(p: float) -> float:
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise InvalidInputError(f"probability must lie in [0, 1], got {p!r}")
     p = min(max(p, 0.0), 1.0)
-    return float(-(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / _LN2)
+    return float(-(_xlogx(p) + _xlogx(1.0 - p)) / _LN2)
+
+
+def _xlogx(x: float) -> float:
+    """x ln x with 0 ln 0 = 0, bit for bit scipy.special.xlogy(x, x).
+
+    math.log is the C library's log, as xlogy's; numpy's vector log can
+    differ from it in the last bit.
+    """
+    return x * math.log(x) if x else 0.0
 
 
 def _clamped_lambda0(lambda0: float) -> float:

@@ -15,7 +15,8 @@ block of size 2^(N-1) at a time, each in O(N^2 2^N) time and 4^N * 4 bytes.
 The ground state comes from the two lowest eigenpairs of each block, solved
 as soon as it is built, so one block is alive at a time: O(8^N) time still,
 but the two half-size reductions cost a quarter of a full one and only four
-eigenvectors are formed.  Everything is capped at MODE_CAP = 12 modes.
+eigenvectors are formed.  The eigensolver, LAPACK's zheevr, is loaded from
+SciPy on first use.  Everything is capped at MODE_CAP = 12 modes.
 
 Index tables are cached read-only on first use and kept for the life of the
 process, for every N <= MODE_CAP: per N the occupation table and the Majorana
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-from scipy.special import xlogy
 
+from . import canonical
 from .decompose import ModewiseDecomposition
+from .entanglement import _xlogx
 from .errors import InvalidInputError, NumericalConsistencyError, ResourceLimitError
 from .gaussian import (
     Bipartition,
@@ -50,8 +51,6 @@ MODE_CAP = 12
 # Smallest spectral gap of a dense ground state that counts as nondegenerate,
 # and the width within which the even sector wins a tie of the sector minima.
 _GAP_TOL = 1e-10
-
-_HEEVR, _HEEVR_LWORK = get_lapack_funcs(("heevr", "heevr_lwork"), dtype=np.complex128)
 
 
 def _check_cap(n_modes: int):
@@ -204,9 +203,10 @@ def dense_hamiltonian(ham: QuadraticHamiltonian) -> np.ndarray:
 
 def _lowest_eigenpairs(block: np.ndarray):
     """The two lowest eigenpairs (one for a 1 x 1 block) of a Hermitian block, by ``zheevr``."""
+    heevr, heevr_lwork = canonical._lapack(("heevr", "heevr_lwork"), np.complex128)
     dim = block.shape[0]
-    work, rwork, iwork, _ = _HEEVR_LWORK(dim)
-    energies, vectors, found, _, info = _HEEVR(
+    work, rwork, iwork, _ = heevr_lwork(dim)
+    energies, vectors, found, _, info = heevr(
         block, range="I", iu=min(2, dim), lwork=int(work.real), lrwork=int(rwork),
         liwork=int(iwork), overwrite_a=True,
     )
@@ -283,7 +283,7 @@ def schmidt_entropy(state: FockState, partition: Bipartition) -> float:
     _check_partition(partition, state.n_modes)
     rho = reduced_density(state, partition.a_modes)
     evals = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    return float(-np.sum(xlogy(evals, evals)) / np.log(2.0))
+    return float(-np.sum([_xlogx(x) for x in evals.tolist()]) / np.log(2.0))
 
 
 def reconstruct_state(decomp: ModewiseDecomposition, reference: FockState):

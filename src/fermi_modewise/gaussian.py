@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .canonical import (
     _ANTISYMMETRY_TOL, _chiral_block, antisymmetrize, j_blocks, lambda_blocks, williamson_form)
@@ -22,8 +21,6 @@ from .errors import InvalidInputError
 if TYPE_CHECKING:
     from .fock import FockState
 
-_POTRF = get_lapack_funcs(("potrf",), dtype=np.float64)[0]
-
 PHYSICALITY_TOL = 1e-9
 # Largest max|M^2 + l0^2| of an isotropic state; absolute, not relative to l0^2.
 ISOTROPY_TOL = 1e-8
@@ -31,6 +28,15 @@ ISOTROPY_TOL = 1e-8
 PURITY_TOL = 1e-9
 # Largest single-particle energy that flags a degenerate ground state.
 _DEGENERACY_TOL = 1e-8
+
+
+def _positive_definite(sq: np.ndarray) -> bool:
+    """Whether the Cholesky factorization of the lower triangle of ``sq`` succeeds."""
+    try:
+        np.linalg.cholesky(sq)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +100,7 @@ class CovarianceMatrix:
                 diagonal += (1.0 + PHYSICALITY_TOL) ** 2 - lam0_sq
             # np.max keeps a NaN, so entries that overflow M^2 leave it non-finite.
             deviation = float(np.max(deviations))
-        if not np.isfinite(deviation) or any(
-                _POTRF(sq.T, overwrite_a=True, clean=False)[1] for sq in squares):
+        if not np.isfinite(deviation) or not all(map(_positive_definite, squares)):
             # The singular values, the Williamson eigenvalues twice, word the
             # error; entries near the float limit can overflow M itself.
             sigma = np.linalg.svd(m, compute_uv=False) if np.isfinite(m).all() else [np.nan]

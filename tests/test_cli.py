@@ -14,6 +14,7 @@ import fermi_modewise
 from fermi_modewise import (
     cli,
     decompose,
+    dense_ground_state,
     diagonal_fcm,
     isotropic_fcm,
     modewise_decompose,
@@ -617,3 +618,42 @@ def test_cli_verify_nan_measurement_fails(capsys, monkeypatch):
     assert "max |E_fcm - E_dense| = nan" in out
     assert lines[-1] == "10/11 suites passed"
 
+
+
+def test_chiral_commands_run_without_scipy(tmp_path):
+    script = """
+import contextlib, io, json, sys
+import numpy as np
+from fermi_modewise import dense_ground_state, random_pure_fcm, williamson_form
+from fermi_modewise.cli import cli_main
+from fermi_modewise.verify import random_quadratic_hamiltonian
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli_main(list(argv)) == 0, argv
+    return out.getvalue()
+
+state = sys.argv[1]
+run("generate", "--kind", "kitaev", "--n", "12", "--mu", "0.5", "--t", "1", "--delta", "1", "--out", state)
+run("sweep", "--kind", "kitaev", "--n", "16", "--mu", "0.5", "--t", "1", "--delta", "1",
+    "--param", "mu", "--values", "0.5", "--cut", "8")
+entropy = run("entropy", "--input", state, "--partition", "1,2,3,4,5,6;7,8,9,10,11,12")
+assert "scipy" not in sys.modules, [m for m in sys.modules if m.startswith("scipy")][:5]
+form = williamson_form(random_pure_fcm(5, 3).matrix)
+ground = dense_ground_state(random_quadratic_hamiltonian(4, np.random.default_rng(4)))
+print(json.dumps([entropy, form.lambdas.tolist(), form.orthogonal.tolist(), ground.energy,
+                  ground.state.amplitudes.real.tolist(), ground.state.amplitudes.imag.tolist()]))
+"""
+    package_root = str(Path(fermi_modewise.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    state = tmp_path / "kitaev.json"
+    fresh = subprocess.run([sys.executable, "-c", script, str(state)], env=dict(os.environ, PYTHONPATH=path),
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    entropy, lambdas, orthogonal, energy, real, imag = json.loads(fresh.stdout)
+    assert float(entropy) > 0.0
+    form = williamson_form(random_pure_fcm(5, 3).matrix)
+    ground = dense_ground_state(verify.random_quadratic_hamiltonian(4, np.random.default_rng(4)))
+    assert lambdas == form.lambdas.tolist() and orthogonal == form.orthogonal.tolist()
+    assert energy == ground.energy
+    assert real == ground.state.amplitudes.real.tolist() and imag == ground.state.amplitudes.imag.tolist()

@@ -393,3 +393,13 @@ def test_chain_results_do_not_depend_on_blas_threads():
     residuals = [float(line) for line in result.stdout.split()]
     assert len(residuals) == 3
     assert max(residuals) <= 1e-8
+
+
+def test_decompositions_compare_by_value():
+    state = random_pure_fcm(4, 11)
+    half = Bipartition((0, 1), (2, 3))
+    first = modewise_decompose(state, half)
+    assert first == modewise_decompose(state, half)
+    assert first != modewise_decompose(state, Bipartition((0,), (1, 2, 3)))
+    assert first != modewise_decompose(random_pure_fcm(4, 12), half)
+    assert first != pair_spectrum(state, half)

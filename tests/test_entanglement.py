@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,18 @@ def test_binary_entropy_values():
         binary_entropy(1.1)
     with pytest.raises(InvalidInputError):
         binary_entropy(-0.1)
+
+
+def test_binary_entropy_has_the_bits_of_its_xlogy_form():
+    from scipy.special import xlogy
+
+    grid = [0.0, 1.0, 0.5, 1e-300, 5e-324, 1e-12, 1.0 - 2.0**-53, 1.0 - 1e-12, 0.1, 1.0 / 3.0]
+    grid += np.linspace(0.0, 1.0, 257).tolist() + np.random.default_rng(3).random(500).tolist()
+    for p in grid:
+        expected = float(-(xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)) / np.log(2.0))
+        got = binary_entropy(p)
+        assert (got, math.copysign(1.0, got)) == (expected, math.copysign(1.0, expected)), p
+    assert math.copysign(1.0, binary_entropy(0.0)) == math.copysign(1.0, binary_entropy(1.0)) == -1.0
 
 
 def test_pair_entropy_monotone_in_theta():

@@ -332,6 +332,21 @@ def test_schmidt_entropy_known_values():
     assert schmidt_entropy(bell, Bipartition((0,), (1,))) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_schmidt_entropy_matches_its_xlogy_form():
+    from scipy.special import xlogy
+
+    rng = np.random.default_rng(12)
+    states = [FockState.from_occupations([1, 0, 1, 1])]
+    states += [random_gaussian_state(n, rng)[0] for n in (2, 5, 8)]
+    for state in states:
+        n = state.n_modes
+        for a_modes in ((0,), tuple(range(n // 2)), tuple(range(0, n, 2))):
+            part = Bipartition(a_modes, tuple(m for m in range(n) if m not in a_modes))
+            evals = np.clip(np.linalg.eigvalsh(reduced_density(state, a_modes)), 0.0, None)
+            expected = -np.sum(xlogy(evals, evals)) / np.log(2.0)
+            assert abs(schmidt_entropy(state, part) - expected) <= 1e-14
+
+
 def test_schmidt_entropy_refuses_a_partition_that_misses_modes():
     state, _ = random_gaussian_state(6, np.random.default_rng(6))
     with pytest.raises(InvalidInputError, match="partition covers 4 modes but the state has 6"):

@@ -422,10 +422,20 @@ def test_covariance_matrix_rejects_unphysical():
         CovarianceMatrix(1e200 * j_blocks(2))
 
 
-@pytest.mark.parametrize("rotated", [False, True], ids=["block-diagonal", "haar-rotated"])
-def test_physicality_boundary(rotated):
+def _chiral_rotation(n_modes: int, seed: int) -> np.ndarray:
+    """Orthogonal map of even quadratures to even and odd to odd: it keeps a matrix chiral."""
+    rotation = np.zeros((2 * n_modes, 2 * n_modes))
+    rotation[0::2, 0::2] = haar_orthogonal(n_modes, seed)
+    rotation[1::2, 1::2] = haar_orthogonal(n_modes, seed + 1)
+    return rotation
+
+
+@pytest.mark.parametrize("rotation", [np.eye(100), _chiral_rotation(50, 6), haar_orthogonal(100, 6)],
+                         ids=["block-diagonal", "chiral-rotated", "haar-rotated"])
+def test_physicality_boundary(rotation):
     lambdas = np.random.default_rng(5).uniform(0.0, 1.0, 50)
-    rotation = haar_orthogonal(100, 6) if rotated else np.eye(100)
+    assert (_chiral_block(rotation @ lambda_blocks(lambdas) @ rotation.T) is None) == (
+        rotation[0::2, 1::2].any())
 
     def state(top):
         lambdas[7] = top
