@@ -619,7 +619,6 @@ def test_cli_verify_nan_measurement_fails(capsys, monkeypatch):
     assert lines[-1] == "10/11 suites passed"
 
 
-
 def test_chiral_commands_run_without_scipy(tmp_path):
     script = """
 import contextlib, io, json, sys
