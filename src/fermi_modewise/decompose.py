@@ -210,7 +210,10 @@ def modewise_decompose(state: CovarianceMatrix, partition: Bipartition) -> Modew
     eigenvalue zero has been fixed by a real SVD of their cross block.  Such a
     block [[p, q], [q, -p]] is the complex number p + iq, and one complex SVD
     of these numbers, applied as unitary (hence J2-commuting) local rotations,
-    leaves K' = diag(kappa_k beta).
+    leaves K' = diag(kappa_k beta).  Transformed mode k of each side, the
+    kappa descending, carries that side's k-th smallest Williamson
+    eigenvalue, and each pair the one of the smaller side, as in
+    ``pair_spectrum``; distinct pairs inside the zero class keep their own.
 
     Local eigenvalues up to 1e-8 lambda0 count as zero, and couplings kappa up
     to 1e-8 are dropped.  Raises NotIsotropicError when max|M^2 + lambda0^2|
@@ -249,9 +252,11 @@ def modewise_decompose(state: CovarianceMatrix, partition: Bipartition) -> Modew
     # turns C = P diag(kappa) Q^H into i diag(kappa), i.e. kappa * beta blocks.
     p_mat, kappas, qh_mat = np.linalg.svd(0.5 * (a - d) + 0.5j * (b + c))
     unitary_a, unitary_b = 1j * p_mat.conj().T, qh_mat.conj()
-    lams_a = np.abs(unitary_a) ** 2 @ form_a.lambdas
-    lams_b = np.abs(unitary_b) ** 2 @ form_b.lambdas
-    pairs = _pairs(lams_a, kappas)
+    # lambda^2 + kappa^2 = lambda0^2 gives transformed mode k of each side its
+    # k-th smallest local eigenvalue, the kappa coming in descending order; the
+    # pairs take the smaller side's, as pair_spectrum does.
+    lams_a, lams_b = form_a.lambdas[::-1], form_b.lambdas[::-1]
+    pairs = _pairs(lams_a if n_a <= n_b else lams_b, kappas)
     return ModewiseDecomposition(
         lambda0=float(lambda0),
         pairs=pairs,

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .canonical import (
-    _ANTISYMMETRY_TOL, _chiral_block, antisymmetrize, j_blocks, lambda_blocks, williamson_form)
+    _ANTISYMMETRY_TOL, _chiral_block, antisymmetrize, lambda_blocks, williamson_form)
 from .errors import InvalidInputError
 
 if TYPE_CHECKING:
@@ -53,7 +53,12 @@ class CovarianceMatrix:
     alone, as max|B + C^T|; M = (mat - mat^T) / 2 has the bits of
     ``antisymmetrize`` either way.  A chiral M squares to
     diag(-B B^T, -B^T B) in even-odd order with B = M[0::2, 1::2]: two N x N
-    products and two N x N Cholesky factorizations replace the 2N x 2N ones.
+    products replace the 2N x 2N one.  Physicality needs no factorization
+    when the isotropy fit proves it: with dim the size of each squared block
+    (N for a chiral M, 2N otherwise), dim * ``isotropy_deviation`` <=
+    ((1 + 1e-9)^2 - ``lambda0_sq``) / 2 bounds every Williamson eigenvalue by
+    1 + 1e-9 (Gershgorin).  Any other input takes a Cholesky factorization
+    of each (1 + 1e-9)^2 + M^2 block.
     Two states are equal iff their matrices are equal entrywise.
     """
 
@@ -100,7 +105,12 @@ class CovarianceMatrix:
                 diagonal += (1.0 + PHYSICALITY_TOL) ** 2 - lam0_sq
             # np.max keeps a NaN, so entries that overflow M^2 leave it non-finite.
             deviation = float(np.max(deviations))
-        if not np.isfinite(deviation) or not all(map(_positive_definite, squares)):
+        # Gershgorin: every eigenvalue of a size x size block M^2 + lam0_sq lies
+        # within size * deviation of zero, so every l_k^2 <= lam0_sq + size * deviation.
+        # Within half the headroom below (1 + tol)^2, the other half covering
+        # the rounding of M^2, that proves every l_k <= 1 + tol; a NaN proves nothing.
+        proven = squares[0].shape[0] * deviation <= 0.5 * ((1.0 + PHYSICALITY_TOL) ** 2 - lam0_sq)
+        if not proven and (not np.isfinite(deviation) or not all(map(_positive_definite, squares))):
             # The singular values, the Williamson eigenvalues twice, word the
             # error; entries near the float limit can overflow M itself.
             sigma = np.linalg.svd(m, compute_uv=False) if np.isfinite(m).all() else [np.nan]
@@ -131,30 +141,37 @@ class QuadraticHamiltonian:
     """Quadratic fermion Hamiltonian sum_ij C_ij b_i^dag b_j + (A_ij b_i^dag b_j^dag + h.c.).
 
     ``hopping`` is the hermitian matrix C, ``pairing`` the antisymmetric
-    matrix A, both N x N complex.  The constructor rejects non-finite entries
-    and deviations max|C - C^dag| or max|A + A^T| beyond 1e-12, and keeps
-    read-only complex copies of both matrices: a validated Hamiltonian is
-    frozen and cannot change.  A matrix whose imaginary parts are all zero is
-    checked on its real N x N part, which gives the same deviation.
+    matrix A, both N x N.  The constructor rejects non-finite entries and
+    deviations max|C - C^dag| or max|A + A^T| beyond 1e-12, and keeps
+    read-only copies of both matrices: a validated Hamiltonian is frozen and
+    cannot change.  The copies are float64, with the bits of the real parts,
+    when neither matrix has a nonzero imaginary part (real input, or complex
+    input whose imaginary parts are all zero); otherwise both are complex128.
     """
 
     hopping: np.ndarray
     pairing: np.ndarray
 
     def __post_init__(self):
-        hopping = np.array(self.hopping, dtype=complex)
-        pairing = np.array(self.pairing, dtype=complex)
+        hopping, pairing = (np.asarray(mat) for mat in (self.hopping, self.pairing))
         for name, mat in (("hopping", hopping), ("pairing", pairing)):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise InvalidInputError(f"{name} matrix must be square, got {mat.shape}")
         if hopping.shape != pairing.shape:
             raise InvalidInputError(f"hopping {hopping.shape} and pairing {pairing.shape} differ")
+        # New copies: float64 for real numbers, complex128 for anything else.
+        hopping, pairing = (np.array(mat, dtype=float if mat.dtype.kind in "biuf" else complex)
+                            for mat in (hopping, pairing))
+        if any(np.iscomplexobj(mat) and mat.imag.any() for mat in (hopping, pairing)):
+            hopping, pairing = (mat.astype(complex, copy=False) for mat in (hopping, pairing))
+        else:
+            hopping, pairing = (np.ascontiguousarray(mat.real) for mat in (hopping, pairing))
         # A NaN or inf entry always leaves its deviation non-finite, so the
         # entries are tested only after a deviation fails, to word the error.
+        # A real C is its own conjugate, so the check allocates no copy of it.
         with np.errstate(invalid="ignore", over="ignore"):
-            c, a = (mat.real if not mat.imag.any() else mat for mat in (hopping, pairing))
-            herm = np.max(np.abs(c - c.conj().T), initial=0.0)
-            anti = np.max(np.abs(a + a.T), initial=0.0)
+            herm = np.max(np.abs(hopping - hopping.conj().T), initial=0.0)
+            anti = np.max(np.abs(pairing + pairing.T), initial=0.0)
         for name, mat, deviation, failure in (
                 ("hopping", hopping, herm, "is not hermitian: max|C - C^dag|"),
                 ("pairing", pairing, anti, "is not antisymmetric: max|A + A^T|")):
@@ -220,11 +237,17 @@ def _majorana_blocks(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
         for p, q in np.ndindex(2, 2):
             np.subtract(imag[p][q], imag[q][p].T, out=blocks[p, q])
         blocks *= 0.5  # h = 2 Im(quad - quad^T)
-        # The offset is Re tr(quad), summed as the complex trace sums it.
-        dc, da = np.diagonal(c), np.diagonal(a)
-        diagonal = np.zeros(2 * ham.n_modes, dtype=complex)
+        return blocks, _majorana_offset(c, a)
+
+
+def _majorana_offset(c: np.ndarray, a: np.ndarray) -> float:
+    """The offset of ``hamiltonian_to_majorana`` from the real parts c of C and a of A."""
+    # Re tr(quad) / 4, summed as the complex trace sums it.
+    dc, da = np.diagonal(c), np.diagonal(a)
+    diagonal = np.zeros(2 * len(dc), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
         diagonal.real[0::2], diagonal.real[1::2] = (dc + da) - da, (dc - da) + da
-        return blocks, 0.25 * float(diagonal.sum().real)
+        return 0.25 * float(diagonal.sum().real)
 
 
 def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
@@ -263,27 +286,37 @@ def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundState:
     Any e_k <= 1e-8 flags a (nearly) degenerate ground manifold; the returned
     M is still deterministic.
 
-    The coupling h is formed in N x N blocks.  When h[0::2, 0::2] and
-    h[1::2, 1::2] are zero, as for every real Hamiltonian (real C and A), h is
-    chiral and is not assembled: the SVD h[0::2, 1::2] = U diag(e) V^T of
-    ``williamson_form``'s chiral route gives O[0::2, 1::2] = V^T and
-    O[1::2, 0::2] = U^T, so X has one nonzero block, X[1::2, 0::2] = V U^T.
-    M is then exactly chiral too, and the constructor, restrictions and
-    Williamson forms of M take their N x N routes.  Any other h is assembled
-    and passed to ``williamson_form``.  A non-finite h raises InvalidInputError.
+    A real Hamiltonian, one whose C and A are stored as float64, has a chiral
+    h: h[0::2, 0::2] and h[1::2, 1::2] are zero.  Only its even-odd block
+    h[0::2, 1::2] is formed, by the operations and in the order of
+    ``hamiltonian_to_majorana``, and h is never assembled: the SVD
+    h[0::2, 1::2] = U diag(e) V^T of ``williamson_form``'s chiral route gives
+    O[0::2, 1::2] = V^T and O[1::2, 0::2] = U^T, so X has one nonzero block,
+    X[1::2, 0::2] = V U^T.  M is then exactly chiral too, and the
+    constructor, restrictions and Williamson forms of M take their N x N
+    routes.  A complex Hamiltonian's h is assembled and passed to
+    ``williamson_form``, which finds a chiral h by itself.  A non-finite h
+    raises InvalidInputError.
     """
-    blocks, offset = _majorana_blocks(ham)
-    if blocks[0, 0].any() or blocks[1, 1].any():
-        form = williamson_form(blocks.transpose(2, 0, 3, 1).reshape((2 * ham.n_modes,) * 2))
+    if np.iscomplexobj(ham.hopping):
+        h, offset = hamiltonian_to_majorana(ham)
+        form = williamson_form(h)
         o, lambdas = form.orthogonal, form.lambdas
         x = o[0::2].T @ o[1::2]
         matrix = x.T - x
     else:
+        c, a = ham.hopping, ham.pairing
+        # h[0::2, 1::2] as _majorana_blocks forms it; sums that overflow leave it non-finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = (a - c) + a
+            block -= ((c + a) + a).T
+            block *= 0.5
+        offset = _majorana_offset(c, a)
         # h is exactly antisymmetric, so williamson_form would check its
         # entries and pass this block to the same SVD bit for bit.
-        if not np.isfinite(blocks[0, 1]).all():
+        if not np.isfinite(block).all():
             raise InvalidInputError("matrix has non-finite entries")
-        u, sigma, vt = np.linalg.svd(blocks[0, 1])
+        u, sigma, vt = np.linalg.svd(block)
         lambdas = np.abs(sigma)
         x = vt.T @ u.T
         matrix = np.zeros((2 * ham.n_modes,) * 2)
@@ -357,12 +390,17 @@ def isotropic_fcm(n_modes: int, lambda0: float, seed) -> CovarianceMatrix:
     if n_modes < 1:
         raise InvalidInputError(f"n_modes must be >= 1, got {n_modes}")
     r = haar_orthogonal(2 * n_modes, seed)
+    # R diag(J2) moves column 2k + 1 of R to 2k and -(column 2k) to 2k + 1:
+    # the bits of the product r @ j_blocks(n_modes), whose other terms are zeros.
+    rj = np.empty_like(r)
+    rj[:, 0::2] = r[:, 1::2]
+    np.negative(r[:, 0::2], out=rj[:, 1::2])
     # The constructor's antisymmetrize returns an exactly antisymmetric matrix
     # unchanged, so scaling after it gives the bits of a scaled pure state.
-    scaled = lambda0 * antisymmetrize(r @ j_blocks(n_modes) @ r.T)
+    scaled = lambda0 * antisymmetrize(rj @ r.T)
     # Freed before the constructor forms M^2: a live R raised the peak RSS of
     # a set of states at N = 400 by about 3 MiB.
-    del r
+    del r, rj
     return CovarianceMatrix(scaled)
 
 

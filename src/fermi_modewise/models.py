@@ -36,11 +36,11 @@ def bcs_fcm(thetas) -> CovarianceMatrix:
 
 
 def kitaev_hamiltonian(n_sites: int, mu: float, t: float, delta: float) -> QuadraticHamiltonian:
-    """Open Kitaev chain: chemical potential mu, hopping t, pairing delta."""
+    """Open Kitaev chain: chemical potential mu, hopping t, pairing delta; real C and A."""
     if n_sites < 1:
         raise InvalidInputError(f"n_sites must be >= 1, got {n_sites}")
-    hopping = -mu * np.eye(n_sites, dtype=complex)
-    pairing = np.zeros((n_sites, n_sites), dtype=complex)
+    hopping = -mu * np.eye(n_sites)
+    pairing = np.zeros((n_sites, n_sites))
     bond = np.arange(n_sites - 1)
     hopping[bond, bond + 1] = hopping[bond + 1, bond] = -t
     pairing[bond, bond + 1] = delta

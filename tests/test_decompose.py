@@ -248,6 +248,30 @@ def test_degenerate_mixed_isotropic_state():
     assert reconstruction_residual(decomp, state) < 1e-9
 
 
+def test_distinct_pairs_inside_the_zero_class_keep_their_angles():
+    # A pi/4 pair and a pi/4 - 1e-9 pair: local eigenvalues 6e-17 and 2e-9,
+    # both inside the zero class (up to 1e-8 lambda0), mixed by rotating side A.
+    # Averaging the local eigenvalues over each transformed mode put theta
+    # about 3e-10 off.
+    thetas = [np.pi / 4, np.pi / 4 - 1e-9, 0.3]
+    matrix = np.zeros((20, 20))
+    matrix[:12, :12] = bcs_fcm(thetas).matrix
+    matrix[12:, 12:] = lambda_blocks([1.0] * 4)
+    part = Bipartition((0, 2, 4, 6, 8), (1, 3, 5, 7, 9))
+    rows = quadrature_indices(part.a_modes)
+    rotation = np.eye(20)
+    rotation[np.ix_(rows, rows)] = haar_orthogonal(10, 2)
+    state = CovarianceMatrix(rotation @ matrix @ rotation.T)
+
+    decomp = modewise_decompose(state, part)
+    spectrum = pair_spectrum(state, part)
+    full = np.array([p.theta for p in decomp.pairs])
+    values = np.array([p.theta for p in spectrum.pairs])
+    assert np.max(np.abs(full - sorted(thetas, reverse=True))) <= 1e-14
+    assert np.max(np.abs(full - values)) <= 1e-14
+    assert reconstruction_residual(decomp, state) <= 1e-8
+
+
 def test_maximally_mixed_state_has_no_pairs():
     state = isotropic_fcm(3, 0.0, 1)
     decomp = modewise_decompose(state, Bipartition((0,), (1, 2)))

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fermi_modewise import gaussian
 from fermi_modewise import (
     Bipartition,
     CovarianceMatrix,
@@ -121,7 +122,7 @@ def test_hamiltonian_names_non_finite_entries(matrix, entry, value):
 
 @pytest.mark.parametrize("matrix", ["hopping", "pairing"])
 def test_hamiltonian_deviation_is_the_same_for_real_and_complex_input(matrix):
-    # a C or A with zero imaginary parts is checked on its real part; the
+    # a C or A with zero imaginary parts is checked on its float64 copy; the
     # reported deviation must be the complex modulus of the same entries
     bad = np.zeros((3, 3))
     bad[0, 1] = 3e-12  # C[0, 1] - C[1, 0] = A[0, 1] + A[1, 0] = 3e-12
@@ -148,6 +149,28 @@ def test_hamiltonian_is_frozen_with_read_only_copies():
             getattr(ham, name)[0, 1] += 1e-6
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ham, name, np.zeros((2, 2)))
+
+
+def test_hamiltonian_stores_float64_unless_an_imaginary_part_is_nonzero():
+    rng = np.random.default_rng(3)
+    c, a = rng.standard_normal((2, 4, 4))
+    c, a = c + c.T, a - a.T
+    c[1, 2] = c[2, 1] = -0.0
+    for hopping, pairing in ((c, a), (c.astype(complex), a), (c, a.astype(complex)),
+                             (c.astype(complex), a.astype(complex)), (c.tolist(), a.tolist())):
+        ham = QuadraticHamiltonian(hopping, pairing)
+        for stored, real in ((ham.hopping, c), (ham.pairing, a)):
+            assert stored.dtype == np.float64 and not stored.flags.writeable
+            assert stored.tobytes() == real.tobytes()
+    assert QuadraticHamiltonian(np.eye(2, dtype=int), np.zeros((2, 2), bool)).hopping.dtype == np.float64
+    # i K with K real antisymmetric is both hermitian and antisymmetric
+    imag = 1j * np.triu(rng.standard_normal((4, 4)), 1)
+    imag -= imag.T
+    for hopping, pairing in ((c + imag, a), (c, a + imag), (c + imag, a.astype(complex) + imag)):
+        ham = QuadraticHamiltonian(hopping, pairing)
+        for stored, given in ((ham.hopping, hopping), (ham.pairing, pairing)):
+            assert stored.dtype == np.complex128 and not stored.flags.writeable
+            assert stored.tobytes() == np.asarray(given, dtype=complex).tobytes()
 
 
 def test_both_ground_state_routes_return_a_ground_state():
@@ -188,9 +211,25 @@ def test_chain_ground_state_is_the_dense_product_bit_for_bit(n):
     # mu = 1, delta = 0.5 has delta != t, so its even-odd coupling block is tridiagonal
     for mu, delta in ((0.5, 1.0), (2.0, 1.0), (0.0, 0.0), (1.0, 0.5)):
         ham = kitaev_hamiltonian(n, mu, 1.0, delta)
-        o = williamson_form(hamiltonian_to_majorana(ham)[0]).orthogonal
-        x = o[0::2].T @ o[1::2]
-        assert np.array_equal(ground_state_fcm(ham).state.matrix, CovarianceMatrix(x.T - x).matrix)
+        h, offset = hamiltonian_to_majorana(ham)
+        form = williamson_form(h)
+        x = form.orthogonal[0::2].T @ form.orthogonal[1::2]
+        state, energy, degenerate = ground_state_fcm(ham)
+        assert state.matrix.tobytes() == CovarianceMatrix(x.T - x).matrix.tobytes()
+        assert energy == offset - 0.5 * float(np.sum(form.lambdas))
+        assert degenerate == bool(np.any(form.lambdas <= 1e-8))
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+def test_chain_ground_state_is_the_same_for_float_and_zero_imaginary_input(n):
+    for mu, delta in ((0.5, 1.0), (0.0, 0.0), (1.0, 0.5)):
+        ham = kitaev_hamiltonian(n, mu, 1.0, delta)
+        as_complex = QuadraticHamiltonian(ham.hopping + 0j, ham.pairing + 0j)
+        (m_float, e_float, d_float), (m_complex, e_complex, d_complex) = (
+            ground_state_fcm(h) for h in (ham, as_complex))
+        assert m_float.matrix.tobytes() == m_complex.matrix.tobytes()
+        assert np.float64(e_float).tobytes() == np.float64(e_complex).tobytes()
+        assert d_float is d_complex
 
 
 def test_ground_state_degeneracy_flag():
@@ -385,6 +424,17 @@ def test_isotropic_fcm_is_lambda0_times_the_pure_state(n_modes, lambda0):
         assert built.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n_modes", [3, 50, 400])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_isotropic_fcm_has_the_bits_of_the_product_by_j_blocks(n_modes, seed):
+    # the dense product R diag(J2) R^T that moving and negating columns replaced
+    r = haar_orthogonal(2 * n_modes, seed)
+    product = antisymmetrize(r @ j_blocks(n_modes) @ r.T)
+    for lambda0 in (1.0, 0.3):
+        expected = CovarianceMatrix(lambda0 * product).matrix
+        assert isotropic_fcm(n_modes, lambda0, seed).matrix.tobytes() == expected.tobytes()
+
+
 def test_covariance_matrix_equality():
     state = random_pure_fcm(2, 1)
     assert state == random_pure_fcm(2, 1)
@@ -432,7 +482,7 @@ def _chiral_rotation(n_modes: int, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("rotation", [np.eye(100), _chiral_rotation(50, 6), haar_orthogonal(100, 6)],
                          ids=["block-diagonal", "chiral-rotated", "haar-rotated"])
-def test_physicality_boundary(rotation):
+def test_physicality_boundary(rotation, monkeypatch):
     lambdas = np.random.default_rng(5).uniform(0.0, 1.0, 50)
     assert (_chiral_block(rotation @ lambda_blocks(lambdas) @ rotation.T) is None) == (
         rotation[0::2, 1::2].any())
@@ -441,13 +491,37 @@ def test_physicality_boundary(rotation):
         lambdas[7] = top
         return CovarianceMatrix(rotation @ lambda_blocks(lambdas) @ rotation.T)
 
+    calls = count_factorizations(monkeypatch)
     assert state(1 + 0.5e-9).n_modes == 50
+    assert calls  # not isotropic: the isotropy fit proves nothing
     with pytest.raises(InvalidInputError) as raised:
         state(1 + 2e-9)
-    assert str(raised.value) == (
-        "unphysical covariance matrix: Williamson eigenvalues [1.000000002] exceed 1 + 1e-09"
-    )
+    assert str(raised.value) == UNPHYSICAL
     assert CovarianceMatrix(np.zeros((0, 0))).n_modes == 0
+
+
+UNPHYSICAL = "unphysical covariance matrix: Williamson eigenvalues [1.000000002] exceed 1 + 1e-09"
+
+
+def count_factorizations(monkeypatch) -> list:
+    """The shapes of the blocks that ``gaussian._positive_definite`` factorizes from now on."""
+    calls = []
+    factorize = gaussian._positive_definite
+    monkeypatch.setattr(gaussian, "_positive_definite", lambda sq: calls.append(sq.shape) or factorize(sq))
+    return calls
+
+
+@pytest.mark.parametrize("pure", [ground_state_fcm(kitaev_hamiltonian(64, 0.5, 1.0, 1.0)).state,
+                                  random_pure_fcm(50, 6)], ids=["chiral-chain", "haar-rotated"])
+def test_physicality_of_isotropic_states_from_the_isotropy_fit(pure, monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    accepted = CovarianceMatrix((1 + 0.5e-9) * pure.matrix)
+    assert isotropy_parameter(accepted) == pytest.approx(1 + 0.5e-9, abs=1e-15)
+    assert calls == []  # proved without a factorization
+    with pytest.raises(InvalidInputError) as raised:
+        CovarianceMatrix((1 + 2e-9) * pure.matrix)
+    assert str(raised.value) == UNPHYSICAL
+    assert calls  # lambda0 beyond 1 + 1e-9 proves nothing, and the factorization fails
 
 
 def test_diagonal_fcm_validation():

@@ -44,9 +44,9 @@ def test_bcs_angle_validation():
 
 def test_kitaev_ground_state_checks_out():
     ham = kitaev_hamiltonian(6, 0.5, 1.0, 1.0)
-    # The bonds as a loop over sites sets them, bit for bit.
-    hopping = -0.5 * np.eye(6, dtype=complex)
-    pairing = np.zeros((6, 6), dtype=complex)
+    # The bonds as a loop over sites sets them, bit for bit, in float64.
+    hopping = -0.5 * np.eye(6)
+    pairing = np.zeros((6, 6))
     for i in range(5):
         hopping[i, i + 1] = hopping[i + 1, i] = -1.0
         pairing[i, i + 1], pairing[i + 1, i] = 1.0, -1.0

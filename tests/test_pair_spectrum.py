@@ -82,13 +82,9 @@ def test_pair_spectrum_matches_the_decomposition(case):
     values = np.array([p.theta for p in spectrum.pairs])
     assert len(values) == len(full) == len(expected)
     assert np.max(np.abs(values - expected), initial=0.0) <= 1e-14
-    # The full route takes local eigenvalues up to 1e-8 lambda0 as one zero
-    # class and may mix its pairs: a pi/4 and a pi/4 - 1e-9 pair of a rotated
-    # side came out about 5e-10 off.  Elsewhere both routes agree.
-    if sum(np.cos(2 * t) <= 1e-8 for t in expected) < 2:
-        assert np.max(np.abs(values - full), initial=0.0) <= 1e-14
-        by_mode = {p.mode: p.theta for p in decomp.pairs}
-        assert max((abs(p.theta - by_mode[p.mode]) for p in spectrum.pairs), default=0.0) <= 1e-14
+    assert np.max(np.abs(values - full), initial=0.0) <= 1e-14
+    by_mode = {p.mode: p.theta for p in decomp.pairs}
+    assert max((abs(p.theta - by_mode[p.mode]) for p in spectrum.pairs), default=0.0) <= 1e-14
     # Pair k sits on transformed mode k of both sides; the residual modes follow.
     n_pairs, n_a = decomp.n_pairs, len(partition.a_modes)
     for pairs in (decomp.pairs, spectrum.pairs):
