@@ -7,11 +7,17 @@ block-diagonal form
 
 with O orthogonal and l_1 >= ... >= l_N >= 0.  The l_i are the Williamson
 eigenvalues of M; they coincide with the singular values of M, each taken once
-per doubly degenerate pair.  Chiral matrices, exactly zero at every (even,
-even) and (odd, odd) entry, as are the states and couplings of real
-Hamiltonians, need only one N x N SVD; any other M first takes a Hessenberg
-reduction, whose LAPACK routines are loaded from SciPy on first use, so the
-chiral route runs on numpy alone.
+per doubly degenerate pair.
+
+A matrix is chiral when every (even, even) and (odd, odd) entry is exactly
+zero, as are the states and couplings of real Hamiltonians.  The routes that
+find one by ``_chiral_block`` work on its N x N off-diagonal blocks alone:
+``antisymmetrize`` checks them, ``CovarianceMatrix`` squares them,
+``williamson_form`` takes one SVD of the even-odd block, and
+``pair_spectrum`` takes the singular values of blocks of them;
+``ground_state_fcm`` knows the coupling of a real Hamiltonian to be chiral.
+Any other M first takes a Hessenberg reduction, whose LAPACK routines are
+loaded from SciPy on first use, so the chiral route runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -63,18 +69,22 @@ def antisymmetrize(mat: np.ndarray) -> np.ndarray:
 
     Entries must be finite, and the deviation ``max|mat + mat^T|`` must not
     exceed 1e-12; larger violations indicate the caller did not pass an
-    antisymmetric matrix.  One fused check forms mat + mat^T once and takes
-    its max and -min as the deviation: a NaN or inf entry always leaves it
-    non-finite, and only then are the entries tested, to word the error.
-    The result is written into that same buffer, a new array, and its bits
-    are those of ``0.5 * (mat - mat^T)``.
+    antisymmetric matrix.  One fused check forms the sums once and takes
+    their max and -min as the deviation: a NaN or inf entry always leaves it
+    non-finite, and only then are the entries tested, to word the error.  A
+    chiral input (see ``_chiral_block``) is checked on its off-diagonal
+    blocks alone: its mat + mat^T holds zeros and, twice, the sums B + C^T
+    with B = mat[0::2, 1::2] and C = mat[1::2, 0::2], so the deviation and
+    every message are the same.  The result is a new array with the bits of
+    ``0.5 * (mat - mat^T)``.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {mat.shape}")
+    block = _chiral_block(mat)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = mat + mat.T
-    deviation = max(out.max(), -out.min()) if mat.size else 0.0
+        sums = mat + mat.T if block is None else block + mat[1::2, 0::2].T
+    deviation = max(sums.max(initial=0.0), -sums.min(initial=0.0))
     if not deviation <= _ANTISYMMETRY_TOL:
         if not np.isfinite(mat).all():
             raise InvalidInputError("matrix has non-finite entries")
@@ -83,7 +93,7 @@ def antisymmetrize(mat: np.ndarray) -> np.ndarray:
             f"{_ANTISYMMETRY_TOL:.3e}"
         )
     with np.errstate(over="ignore"):
-        np.subtract(mat, mat.T, out=out)
+        out = np.subtract(mat, mat.T, out=sums if block is None else None)
     out *= 0.5
     return out
 
@@ -92,7 +102,8 @@ def _chiral_block(mat: np.ndarray):
     """The even-odd block ``mat[0::2, 1::2]`` of a chiral matrix, else None.
 
     A matrix is chiral when every (even, even) and (odd, odd) entry is exactly
-    zero, as in the covariance and coupling matrices of real Hamiltonians.
+    zero, as in the covariance and coupling matrices of real Hamiltonians;
+    the module docstring lists the routes that take the N x N blocks of one.
     """
     if mat[0::2, 0::2].any() or mat[1::2, 1::2].any():
         return None
@@ -118,12 +129,11 @@ class WilliamsonForm:
 def williamson_form(mat: np.ndarray) -> WilliamsonForm:
     """Compute the antisymmetric canonical form by the skew route of Ward & Gray.
 
-    A chiral matrix, one with exact zeros at all (even, even) and (odd, odd)
-    positions, is [[0, B], [-B^T, 0]] in even-odd order, with the N x N block
-    B = M[0::2, 1::2].  The SVD B = U S V^T gives the l_i = S_ii and the rows
-    O[0::2] = V^T on the odd columns, O[1::2] = U^T on the even columns.  The
-    covariance and coupling matrices of real Hamiltonians (real C and A) are
-    chiral, so they need only this one N x N SVD.
+    A chiral matrix is [[0, B], [-B^T, 0]] in even-odd order, with the
+    N x N block B = M[0::2, 1::2].  The SVD B = U S V^T gives the l_i = S_ii
+    and the rows O[0::2] = V^T on the odd columns, O[1::2] = U^T on the even
+    columns.  The covariance and coupling matrices of real Hamiltonians (real
+    C and A) are chiral, so they need only this one N x N SVD.
 
     Any other input is first brought to chiral form by an orthogonal
     Hessenberg reduction Q^T M Q, which for an antisymmetric matrix is

@@ -160,11 +160,12 @@ def pair_spectrum(state: CovarianceMatrix, partition: Bipartition) -> PairSpectr
     """lambda0 and the pairs of ``modewise_decompose``, without its transforms.
 
     Only singular values are computed.  The kappa are those of the cross block
-    M_AB, each appearing twice; when M is chiral, once in each of the N x N
-    blocks M_AB[0::2, 1::2] and M_AB[1::2, 0::2].  The lambda are the
-    Williamson eigenvalues of the smaller side, from its even-odd block when M
-    is chiral, and lambda^2 + kappa^2 = lambda0^2 pairs them ascending with
-    the kappa descending.  Taking lambda from sqrt(lambda0^2 - kappa^2) instead
+    M_AB, each appearing twice, and the lambda the Williamson eigenvalues of
+    the smaller side; for a chiral M (see ``canonical._chiral_block``) they
+    come from N x N blocks, the kappa once from each of M_AB[0::2, 1::2] and
+    M_AB[1::2, 0::2] and the lambda from the smaller side's even-odd block.
+    lambda^2 + kappa^2 = lambda0^2 pairs the lambda ascending with the kappa
+    descending.  Taking lambda from sqrt(lambda0^2 - kappa^2) instead
     would cancel for kappa near lambda0 and blur angles near pi/4.
 
     The tolerances and errors are those of ``modewise_decompose``.  Couplings up

@@ -14,8 +14,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .canonical import (
-    _ANTISYMMETRY_TOL, _chiral_block, antisymmetrize, lambda_blocks, williamson_form)
+from .canonical import _chiral_block, antisymmetrize, lambda_blocks, williamson_form
 from .errors import InvalidInputError
 
 if TYPE_CHECKING:
@@ -43,15 +42,12 @@ def _positive_definite(sq: np.ndarray) -> bool:
 class CovarianceMatrix:
     """Fermion covariance matrix of ``n_modes`` modes, frozen and read-only.
 
-    The constructor antisymmetrizes the input (rejecting deviations beyond
-    1e-12) and forms M^2 once.  It rejects unphysical matrices, whose
+    The constructor takes M from ``antisymmetrize`` (rejecting deviations
+    beyond 1e-12) and forms M^2 once.  It rejects unphysical matrices, whose
     Williamson eigenvalues exceed 1 + 1e-9, and matrices whose entries
     overflow M to non-finite values, and keeps the isotropy fit
     ``lambda0_sq`` = -tr(M^2) / 2N and ``isotropy_deviation`` = max|M^2 + lambda0_sq|.
-    A chiral input, zero at every (even, even) and (odd, odd) entry, is
-    checked on its N x N blocks B = mat[0::2, 1::2] and C = mat[1::2, 0::2]
-    alone, as max|B + C^T|; M = (mat - mat^T) / 2 has the bits of
-    ``antisymmetrize`` either way.  A chiral M squares to
+    A chiral M (see ``canonical._chiral_block``) squares to
     diag(-B B^T, -B^T B) in even-odd order with B = M[0::2, 1::2]: two N x N
     products replace the 2N x 2N one.  Physicality needs no factorization
     when the isotropy fit proves it: with dim the size of each squared block
@@ -67,21 +63,8 @@ class CovarianceMatrix:
     isotropy_deviation: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        block = _chiral_block(mat) if mat.ndim == 2 and mat.shape[0] == mat.shape[1] else None
-        if block is not None:
-            # A chiral input's mat + mat^T is B + C^T, its transpose and zeros.
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums = block + mat[1::2, 0::2].T
-            if not max(sums.max(initial=0.0), -sums.min(initial=0.0)) <= _ANTISYMMETRY_TOL:
-                block = None
-        if block is None:
-            m = antisymmetrize(mat)  # words the error of a failed check, too
-            block = _chiral_block(m)
-        else:
-            with np.errstate(over="ignore"):
-                m = mat - mat.T  # the bits of antisymmetrize
-            m *= 0.5
+        m = antisymmetrize(self.matrix)
+        block = _chiral_block(m)
         dim = m.shape[0]
         if dim % 2:
             raise InvalidInputError(f"covariance matrix dimension must be even, got {dim}")
@@ -217,37 +200,40 @@ def quadrature_indices(modes) -> np.ndarray:
     return (2 * modes[:, None] + np.arange(2)).reshape(-1)
 
 
-def _majorana_blocks(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
-    """``hamiltonian_to_majorana`` as ``(blocks, offset)`` with ``blocks[p, q] = h[p::2, q::2]``."""
+def _majorana_blocks(ham: QuadraticHamiltonian, even_odd_only: bool = False) -> tuple[dict, float]:
+    """The nonzero blocks ``{(p, q): h[p::2, q::2]}`` of ``hamiltonian_to_majorana``, and its offset.
+
+    The diagonal blocks are formed only for a complex Hamiltonian, as a real
+    one's are zero, and with ``even_odd_only`` only h[0::2, 1::2] is formed.
+    """
     # Each term C_ij b_i^dag b_j, A_ij b_i^dag b_j^dag and -A*_ij b_i b_j adds
     # its coefficient times the outer product of the two operators' quadrature
     # coefficients, [[1, -i], [i, 1]], [[1, i], [i, -1]] and [[1, -i], [-i, -1]],
     # to the 2x2 mode block (i, j) of the quadrature form.  With C = c + ic'
-    # and A = a + ia', the imaginary parts of four times the form are these
-    # N x N blocks [p][q] = quad[p::2, q::2], summed term by term.  The real
-    # part is symmetric, as the frozen Hamiltonian's C is hermitian and its A
-    # antisymmetric, so only its diagonal is formed, for the offset.
+    # and A = a + ia', the imaginary parts of four times the form's N x N
+    # blocks quad[p::2, q::2], summed term by term, are x at [0][1] and y at
+    # [1][0], from the real parts, and z at [p][p], from the imaginary parts.
+    # The real part is symmetric, as the frozen Hamiltonian's C is hermitian
+    # and its A antisymmetric, so only its diagonal is formed, for the offset.
     # Contiguous copies of the parts: the views of the complex arrays are strided.
-    c, c_im, a, a_im = (np.ascontiguousarray(part) for part in (
-        ham.hopping.real, ham.hopping.imag, ham.pairing.real, ham.pairing.imag))
-    blocks = np.empty((2, 2) + c.shape)
+    c, a = (np.ascontiguousarray(part) for part in (ham.hopping.real, ham.pairing.real))
     # Sums that overflow leave h non-finite, which its users refuse.
     with np.errstate(over="ignore", invalid="ignore"):
-        imag = [[(c_im + a_im) + a_im, (a - c) + a], [(c + a) + a, (c_im - a_im) - a_im]]
-        for p, q in np.ndindex(2, 2):
-            np.subtract(imag[p][q], imag[q][p].T, out=blocks[p, q])
-        blocks *= 0.5  # h = 2 Im(quad - quad^T)
-        return blocks, _majorana_offset(c, a)
-
-
-def _majorana_offset(c: np.ndarray, a: np.ndarray) -> float:
-    """The offset of ``hamiltonian_to_majorana`` from the real parts c of C and a of A."""
-    # Re tr(quad) / 4, summed as the complex trace sums it.
-    dc, da = np.diagonal(c), np.diagonal(a)
-    diagonal = np.zeros(2 * len(dc), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = (a - c) + a, (c + a) + a
+        blocks = {(0, 1): x - y.T}
+        if not even_odd_only:
+            blocks[1, 0] = y - x.T  # not -h[0::2, 1::2].T: zeros would change sign
+            if np.iscomplexobj(ham.hopping):
+                c_im, a_im = (np.ascontiguousarray(part) for part in (ham.hopping.imag, ham.pairing.imag))
+                for p, z in enumerate(((c_im + a_im) + a_im, (c_im - a_im) - a_im)):
+                    blocks[p, p] = z - z.T
+        for block in blocks.values():
+            block *= 0.5  # h = 2 Im(quad - quad^T)
+        # Re tr(quad) / 4, summed as the complex trace sums it.
+        dc, da = np.diagonal(c), np.diagonal(a)
+        diagonal = np.zeros(2 * len(dc), dtype=complex)
         diagonal.real[0::2], diagonal.real[1::2] = (dc + da) - da, (dc - da) + da
-        return 0.25 * float(diagonal.sum().real)
+        return blocks, 0.25 * float(diagonal.sum().real)
 
 
 def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> tuple[np.ndarray, float]:
@@ -256,12 +242,14 @@ def hamiltonian_to_majorana(ham: QuadraticHamiltonian) -> tuple[np.ndarray, floa
     Uses b_i = (g_{2i} - i g_{2i+1}) / 2; ``h`` is real and exactly
     antisymmetric, and the offset collects the normal-ordering constant.
     Each N x N block h[p::2, q::2] is formed on its own from the parts of C
-    and A; for a real Hamiltonian h[0::2, 0::2] and h[1::2, 1::2] are zero.
+    and A; a real Hamiltonian's h is chiral (see ``canonical._chiral_block``).
     Sums that overflow leave h non-finite without a numpy warning.
     """
     blocks, offset = _majorana_blocks(ham)
-    # h[2i + p, 2j + q] = blocks[p, q, i, j]
-    return blocks.transpose(2, 0, 3, 1).reshape((2 * ham.n_modes,) * 2), offset
+    h = np.zeros((2 * ham.n_modes,) * 2)
+    for (p, q), block in blocks.items():
+        h[p::2, q::2] = block
+    return h, offset
 
 
 class GroundState(NamedTuple):
@@ -287,16 +275,12 @@ def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundState:
     M is still deterministic.
 
     A real Hamiltonian, one whose C and A are stored as float64, has a chiral
-    h: h[0::2, 0::2] and h[1::2, 1::2] are zero.  Only its even-odd block
-    h[0::2, 1::2] is formed, by the operations and in the order of
-    ``hamiltonian_to_majorana``, and h is never assembled: the SVD
-    h[0::2, 1::2] = U diag(e) V^T of ``williamson_form``'s chiral route gives
-    O[0::2, 1::2] = V^T and O[1::2, 0::2] = U^T, so X has one nonzero block,
-    X[1::2, 0::2] = V U^T.  M is then exactly chiral too, and the
-    constructor, restrictions and Williamson forms of M take their N x N
-    routes.  A complex Hamiltonian's h is assembled and passed to
-    ``williamson_form``, which finds a chiral h by itself.  A non-finite h
-    raises InvalidInputError.
+    h (see ``canonical._chiral_block``), of which only the block
+    h[0::2, 1::2] is formed: its SVD h[0::2, 1::2] = U diag(e) V^T, as in
+    ``williamson_form``, gives O[0::2, 1::2] = V^T and O[1::2, 0::2] = U^T,
+    so X has one nonzero block, X[1::2, 0::2] = V U^T, and M is chiral too.
+    A complex Hamiltonian's h is assembled and passed to ``williamson_form``.
+    A non-finite h raises InvalidInputError.
     """
     if np.iscomplexobj(ham.hopping):
         h, offset = hamiltonian_to_majorana(ham)
@@ -305,13 +289,8 @@ def ground_state_fcm(ham: QuadraticHamiltonian) -> GroundState:
         x = o[0::2].T @ o[1::2]
         matrix = x.T - x
     else:
-        c, a = ham.hopping, ham.pairing
-        # h[0::2, 1::2] as _majorana_blocks forms it; sums that overflow leave it non-finite.
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = (a - c) + a
-            block -= ((c + a) + a).T
-            block *= 0.5
-        offset = _majorana_offset(c, a)
+        blocks, offset = _majorana_blocks(ham, even_odd_only=True)
+        block = blocks[0, 1]
         # h is exactly antisymmetric, so williamson_form would check its
         # entries and pass this block to the same SVD bit for bit.
         if not np.isfinite(block).all():

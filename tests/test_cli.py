@@ -637,6 +637,8 @@ run("generate", "--kind", "kitaev", "--n", "12", "--mu", "0.5", "--t", "1", "--d
 run("sweep", "--kind", "kitaev", "--n", "16", "--mu", "0.5", "--t", "1", "--delta", "1",
     "--param", "mu", "--values", "0.5", "--cut", "8")
 entropy = run("entropy", "--input", state, "--partition", "1,2,3,4,5,6;7,8,9,10,11,12")
+run("williamson", "--input", state)
+run("decompose", "--input", state, "--partition", "1,2,3,4,5,6;7,8,9,10,11,12")
 assert "scipy" not in sys.modules, [m for m in sys.modules if m.startswith("scipy")][:5]
 form = williamson_form(random_pure_fcm(5, 3).matrix)
 ground = dense_ground_state(random_quadratic_hamiltonian(4, np.random.default_rng(4)))

@@ -79,6 +79,29 @@ def test_majorana_coupling_is_exactly_antisymmetric():
         assert np.array_equal(h, -h.T)
 
 
+def _majorana_by_four_blocks(ham):
+    """h with every N x N block h[p::2, q::2] formed from its own two terms."""
+    c, c_im, a, a_im = (part.copy() for part in (
+        ham.hopping.real, ham.hopping.imag, ham.pairing.real, ham.pairing.imag))
+    imag = [[(c_im + a_im) + a_im, (a - c) + a], [(c + a) + a, (c_im - a_im) - a_im]]
+    h = np.empty((2 * ham.n_modes,) * 2)
+    for p, q in np.ndindex(2, 2):
+        h[p::2, q::2] = 0.5 * (imag[p][q] - imag[q][p].T)
+    return h
+
+
+def test_majorana_coupling_keeps_the_bits_of_the_four_block_formula():
+    # signed zeros included: h[1::2, 0::2] is not -h[0::2, 1::2].T at exact zeros
+    rng = np.random.default_rng(45)
+    imaginary = random_quadratic_hamiltonian(5, rng)
+    hams = [kitaev_hamiltonian(6, 0.0, 0.0, 0.0), kitaev_hamiltonian(6, -0.0, 1.0, 0.7),
+            QuadraticHamiltonian(1j * imaginary.hopping.imag, 1j * imaginary.pairing.imag),
+            random_quadratic_hamiltonian(7, rng)]
+    for ham in hams:
+        h, _ = hamiltonian_to_majorana(ham)
+        assert h.tobytes() == _majorana_by_four_blocks(ham).tobytes()
+
+
 def test_majorana_form_zero_hamiltonian():
     zero = QuadraticHamiltonian(np.zeros((2, 2)), np.zeros((2, 2)))
     coupling, offset = hamiltonian_to_majorana(zero)
@@ -302,27 +325,36 @@ def _signed_zero_chiral_input():
 
 @pytest.mark.parametrize("deviation", [0.0, 5e-13], ids=["exact", "averaged"])
 def test_chiral_input_gives_the_antisymmetric_part_bit_for_bit(deviation):
-    # the constructor checks a chiral input on its off-diagonal blocks only; its
-    # matrix must still be 0.5 (M - M^T) to the bit, signed zeros included
+    # antisymmetrize checks a chiral input on its off-diagonal blocks only; its
+    # result must still be 0.5 (M - M^T) to the bit, signed zeros included
     mat = _signed_zero_chiral_input()
     mat[0, 1] += deviation
-    assert _chiral_block(mat) is not None
-    assert CovarianceMatrix(mat).matrix.tobytes() == (0.5 * (mat - mat.T)).tobytes()
+    odd = mat[:7, :7]
+    assert _chiral_block(mat) is not None and _chiral_block(odd) is not None
+    for check, square in ((antisymmetrize, mat), (antisymmetrize, odd),
+                          (lambda m: CovarianceMatrix(m).matrix, mat)):
+        assert check(square).tobytes() == (0.5 * (square - square.T)).tobytes()
 
 
-@pytest.mark.parametrize("row, col, value", [
-    (0, 1, 2e-12), (0, 1, np.nan), (3, 0, np.inf), (5, 2, -np.inf), (2, 2, np.nan), (0, 2, np.inf),
-], ids=["deviation", "nan", "inf", "-inf", "nan-in-diagonal-block", "inf-in-diagonal-block"])
-def test_chiral_input_is_refused_with_the_antisymmetrize_message(row, col, value):
+_NON_FINITE = "matrix has non-finite entries"
+_DEVIATION = "matrix is not antisymmetric: max|M + M^T| = 2.000e-12 > 1.000e-12"
+
+
+@pytest.mark.parametrize("row, col, value, dim, message", [
+    (0, 1, 2e-12, 8, _DEVIATION), (0, 1, np.nan, 8, _NON_FINITE), (3, 0, np.inf, 8, _NON_FINITE),
+    (5, 2, -np.inf, 8, _NON_FINITE), (2, 2, np.nan, 8, _NON_FINITE), (0, 2, np.inf, 8, _NON_FINITE),
+    (6, 3, np.nan, 8, _NON_FINITE), (2, 5, np.inf, 8, _NON_FINITE),
+    (0, 1, 2e-12, 7, _DEVIATION), (4, 1, -np.inf, 7, _NON_FINITE),
+], ids=["deviation", "nan", "inf", "-inf", "nan-in-diagonal-block", "inf-in-diagonal-block",
+        "nan-in-even-odd-block", "inf-in-even-odd-block", "odd-dimension", "odd-dimension-inf"])
+def test_chiral_input_is_refused_with_the_antisymmetrize_message(row, col, value, dim, message):
+    # the check on the off-diagonal blocks words each refusal as the check on the whole matrix
     mat = _signed_zero_chiral_input()
     mat[row, col] = mat[row, col] + value if np.isfinite(value) else value  # perturb or replace
-    with pytest.raises(InvalidInputError) as expected:
-        antisymmetrize(mat)
-    with pytest.raises(InvalidInputError) as raised:
-        CovarianceMatrix(mat)
-    assert str(raised.value) == str(expected.value)
-    assert str(expected.value).startswith(("matrix has non-finite entries",
-                                           "matrix is not antisymmetric: max|M + M^T| = 2.000e-12"))
+    for check in (antisymmetrize, CovarianceMatrix):
+        with pytest.raises(InvalidInputError) as raised:
+            check(mat[:dim, :dim])
+        assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("matrix", [

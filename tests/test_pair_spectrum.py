@@ -3,9 +3,10 @@
 Each state is a direct sum of BCS pairs and local vacua, scaled to lambda0,
 with its modes permuted and, in some cases, side A rotated locally.  The
 angles come out of the full decomposition, of ``pair_spectrum`` and of the
-construction, and both routes put pair k on transformed mode k of each side;
-pure states at N <= 8 also check the entropy against the dense Schmidt
-entropy.
+construction, and both routes put pair k on transformed mode k of each side.
+Each pure state is also the ground state of a Hamiltonian built from it,
+found again by ``ground_state_fcm``, and at N <= 8 its entropy is checked
+against the dense Schmidt entropy.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from fermi_modewise import (
     CovarianceMatrix,
     QuadraticHamiltonian,
     dense_ground_state,
+    ground_state_fcm,
     haar_orthogonal,
     hamiltonian_to_majorana,
     isotropic_separability,
@@ -93,8 +95,13 @@ def test_pair_spectrum_matches_the_decomposition(case):
     assert [r.mode for r in decomp.residual_a] == list(range(n_pairs, n_a))
     assert [r.mode for r in decomp.residual_b] == list(range(n_pairs, state.n_modes - n_a))
     assert reconstruction_residual(decomp, state) <= 1e-8
+    if spectrum.pure:
+        ham = hamiltonian_with_ground_state(state.matrix)
+        ground = ground_state_fcm(ham)  # the float route for a chiral M, else the complex one
+        assert not ground.degenerate
+        assert np.max(np.abs(ground.state.matrix - state.matrix), initial=0.0) <= 1e-14
     if spectrum.pure and state.n_modes <= 8:
-        dense, _, degenerate = dense_ground_state(hamiltonian_with_ground_state(state.matrix))
+        dense, _, degenerate = dense_ground_state(ham)
         assert not degenerate
         assert isotropic_separability(spectrum).total_modes_entropy == pytest.approx(
             schmidt_entropy(dense, partition), abs=1e-10
