@@ -27,7 +27,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .gaussian import Bipartition, CovarianceMatrix
-from .models import MODEL_KINDS, generate_model
+from .models import MODEL_KINDS, MODEL_PARAMETERS, generate_model
 from .verify import run_all
 
 RECONSTRUCTION_TOL = 1e-8
@@ -57,6 +57,7 @@ def _read_fcm(path: str):
 
 def _model_spec_from_args(args) -> tuple[str, dict]:
     if args.spec is not None:
+        _refuse_flags(args, ("kind", *MODEL_PARAMETERS), "--spec replaces the model flags")
         with open(args.spec) as stream:
             try:
                 data = json.load(stream)
@@ -70,29 +71,14 @@ def _model_spec_from_args(args) -> tuple[str, dict]:
         return data["kind"], data["parameters"]
     if args.kind is None:
         raise InvalidInputError("either --kind or --spec is required")
-    params: dict = {}
-    if args.thetas is not None:
-        params["thetas"] = serialize.parse_float_list(args.thetas)
-    if args.lambdas is not None:
-        params["lambdas"] = serialize.parse_float_list(args.lambdas)
-    for name in ("n", "seed", "mu", "t", "delta", "lambda0"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    return args.kind, params
+    return args.kind, {k: v for k in MODEL_PARAMETERS if (v := getattr(args, k)) is not None}
 
 
 def _add_model_flags(parser):
-    parser.add_argument("--spec", help="model spec JSON file (overrides flags)")
+    parser.add_argument("--spec", help="model spec JSON file (in place of the model flags)")
     parser.add_argument("--kind", choices=MODEL_KINDS)
-    parser.add_argument("--thetas", help="comma-separated pair angles (bcs)")
-    parser.add_argument("--lambdas", help="comma-separated per-mode eigenvalues (diagonal)")
-    parser.add_argument("--n", type=int, help="mode count")
-    parser.add_argument("--mu", type=float, help="chemical potential (kitaev)")
-    parser.add_argument("--t", type=float, help="hopping amplitude (kitaev)")
-    parser.add_argument("--delta", type=float, help="pairing amplitude (kitaev)")
-    parser.add_argument("--lambda0", type=float, help="isotropy parameter (random-isotropic)")
-    parser.add_argument("--seed", type=int, help="random seed")
+    for name, text in MODEL_PARAMETERS.items():
+        parser.add_argument(f"--{name}", help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

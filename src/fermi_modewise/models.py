@@ -71,9 +71,12 @@ def _mode_count(value) -> int:
 
 
 def _float_list(value) -> np.ndarray:
-    values = np.asarray(value, dtype=float)
+    from .serialize import parse_float_list  # not at import: serialize loads json
+    values = np.asarray(parse_float_list(value) if isinstance(value, str) else value, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"expected a list of numbers, got {value!r}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"expected finite values, got {value!r}")
     return values
 
 
@@ -85,39 +88,52 @@ def _kitaev_fcm(n: int, mu: float, t: float, delta: float) -> CovarianceMatrix:
     return ground_state_fcm(kitaev_hamiltonian(n, mu, t, delta)).state
 
 
-# kind -> (builder, {parameter: converter}) with the parameters in the
-# builder's argument order; "seed" is the only optional one
+# The model catalog: parameter -> (converter of a flag's text or a spec or sweep
+# value, help); kind -> (builder, its parameters in argument order).  Only "seed" is optional.
+_PARAMETERS = {
+    "thetas": (_float_list, "comma-separated pair angles"),
+    "n": (_mode_count, "mode count"),
+    "mu": (float, "chemical potential"),
+    "t": (float, "hopping amplitude"),
+    "delta": (float, "pairing amplitude"),
+    "lambda0": (float, "isotropy parameter"),
+    "seed": (_seed, "random seed; a fresh state when left out"),
+    "lambdas": (_float_list, "comma-separated per-mode eigenvalues"),
+}
 _MODELS = {
-    "bcs": (bcs_fcm, {"thetas": _float_list}),
-    "kitaev": (_kitaev_fcm, {"n": _mode_count, "mu": float, "t": float, "delta": float}),
-    "random-pure": (random_pure_fcm, {"n": _mode_count, "seed": _seed}),
-    "random-isotropic": (isotropic_fcm, {"n": _mode_count, "lambda0": float, "seed": _seed}),
-    "diagonal": (diagonal_fcm, {"lambdas": _float_list}),
+    "bcs": (bcs_fcm, ("thetas",)),
+    "kitaev": (_kitaev_fcm, ("n", "mu", "t", "delta")),
+    "random-pure": (random_pure_fcm, ("n", "seed")),
+    "random-isotropic": (isotropic_fcm, ("n", "lambda0", "seed")),
+    "diagonal": (diagonal_fcm, ("lambdas",)),
 }
 MODEL_KINDS = tuple(_MODELS)
+MODEL_PARAMETERS = {name: f"{text} ({', '.join(k for k in _MODELS if name in _MODELS[k][1])})"
+                    for name, (_, text) in _PARAMETERS.items()}  # name -> help, with its kinds
 
 
 def generate_model(kind: str, parameters: dict) -> CovarianceMatrix:
     """Covariance matrix of the model ``kind`` built from ``parameters``.
 
-    Each kind takes the parameters of its ``_MODELS`` entry; ``seed`` may be
-    left out (a fresh random state).  An unknown kind, a missing or unknown
-    parameter, or a value its converter rejects raises InvalidInputError.
+    Each kind takes the parameters of its ``_MODELS`` entry, ``seed`` may be left
+    out (a fresh random state), and every value, a flag's text or a spec or sweep
+    value, goes through its ``_PARAMETERS`` converter.  An unknown kind, a missing
+    or unknown parameter, or a value its converter rejects raises InvalidInputError.
     """
     if kind not in MODEL_KINDS:  # a tuple, so an unhashable kind from JSON is refused too
         raise InvalidInputError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
-    builder, converters = _MODELS[kind]
+    builder, names = _MODELS[kind]
     for name in parameters:
-        if name not in converters:
+        if name not in names:
             raise InvalidInputError(
-                f"model kind {kind!r} takes no parameter {name!r}; it takes {', '.join(converters)}"
+                f"model kind {kind!r} takes no parameter {name!r}; it takes {', '.join(names)}"
             )
     args = []
-    for name, convert in converters.items():
+    for name in names:
         if name not in parameters and name != "seed":
             raise InvalidInputError(f"missing model parameter {name!r}")
         try:
-            args.append(convert(parameters.get(name)))
+            args.append(_PARAMETERS[name][0](parameters.get(name)))
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"model parameter {name!r}: {exc}") from exc
     return builder(*args)

@@ -1,15 +1,17 @@
-"""The public names, the CLI model kinds and the traced benchmark layers exist;
-no module imports a name it never reads, and no private name goes unread."""
+"""The public names and the traced benchmark layers exist, the CLI model flags
+and the README's model table are the model catalog, no module imports a name it
+never reads, and no private name goes unread."""
 
 import argparse
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import fermi_modewise
 from fermi_modewise.cli import build_parser
-from fermi_modewise.models import MODEL_KINDS
+from fermi_modewise.models import _MODELS, MODEL_KINDS, MODEL_PARAMETERS
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -39,9 +41,27 @@ def test_model_kind_choices_are_the_model_table():
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    for command in ("generate", "sweep"):
-        kind = next(a for a in subparsers.choices[command]._actions if a.dest == "kind")
+    own = {"generate": {"help", "spec", "kind", "out"},
+           "sweep": {"help", "spec", "kind", "param", "values", "start", "stop", "num", "cut",
+                     "scan_cut", "out"}}
+    for command, flags in own.items():
+        actions = subparsers.choices[command]._actions
+        kind = next(a for a in actions if a.dest == "kind")
         assert tuple(kind.choices) == MODEL_KINDS
+        # every other flag is a catalog parameter, parsed by its converter alone
+        model = [a for a in actions if a.dest not in flags]
+        assert [a.option_strings for a in model] == [[f"--{name}"] for name in MODEL_PARAMETERS]
+        assert [a.type for a in model] == [None] * len(MODEL_PARAMETERS)
+
+
+def test_readme_model_table_is_the_catalog():
+    text = (ROOT / "README.md").read_text()
+    table = text[text.index("Model kinds for `generate` and `sweep`"):].split("\n\n")[1]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    documented = {kind.strip().strip("`"): tuple(re.findall(r"`([^`]+)`", names))
+                  for kind, names in rows}
+    assert documented == {kind: names for kind, (_, names) in _MODELS.items()}
+    assert list(documented) == list(MODEL_KINDS)
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -331,6 +332,7 @@ def test_cli_exit_codes(capsys, tmp_path):
         ["sweep", "--kind", "kitaev", "--n", "4", "--mu", "1", "--t", "1", "--delta", "1",
          "--param", "mu", "--start", "0", "--stop", "1", "--num", "1000000000000",
          "--cut", "2"],
+        ["generate", "--spec", "bcs_spec.json", "--kind", "bcs", "--mu", "3"],
     ],
     ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec",
          "spec-not-object", "spec-parameters-not-object", "verify-one-mode",
@@ -344,7 +346,7 @@ def test_cli_exit_codes(capsys, tmp_path):
          "sweep-mode-count-too-large", "spec-mode-count-too-large", "ppt-no-kappas",
          "ppt-only-a-comma", "verify-negative-seed", "verify-above-mode-cap",
          "sweep-scan-cut-with-sweep-flags", "sweep-values-and-range", "sweep-scan-cut-one-mode",
-         "sweep-num-too-large"],
+         "sweep-num-too-large", "spec-with-model-flags"],
 )
 def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, argv):
     data = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
@@ -371,6 +373,7 @@ def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, 
         ("seed_text", "random-pure", {"n": 3, "seed": "abc"}),
         ("unknown_key", "bcs", {"thetas": [0.3], "n": 2}),
         ("n_huge", "random-pure", {"n": 1e300, "seed": 1}),
+        ("bcs", "bcs", {"thetas": [0.3]}),
     ]:
         spec = {"kind": kind, "parameters": parameters}
         (tmp_path / f"{name}_spec.json").write_text(json.dumps(spec))
@@ -554,6 +557,47 @@ def test_cli_shared_parser_leaks_no_state_between_calls(capsys):
                            timeout=120)
     assert fresh.returncode == 0, fresh.stderr
     assert out == fresh.stdout
+
+
+MODEL_SPECS = {
+    "bcs": {"thetas": [0.3, 0.7]},
+    "kitaev": {"n": 6, "mu": 0.5, "t": 1, "delta": 1},
+    "random-pure": {"n": 4, "seed": 3},
+    "random-isotropic": {"n": 4, "lambda0": 0.4, "seed": 5},
+    "diagonal": {"lambdas": [0.2, 0.8]},
+}
+
+
+@pytest.mark.parametrize("kind", MODEL_SPECS)
+def test_cli_flags_and_spec_give_the_bytes_of_generate_model(capsys, tmp_path, kind):
+    parameters = MODEL_SPECS[kind]
+    flags = [x for name, value in parameters.items()
+             for x in (f"--{name}", ",".join(map(str, value)) if isinstance(value, list) else str(value))]
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+    expected = io.StringIO()
+    write_fcm(generate_model(kind, parameters), expected)
+    for argv in (["--kind", kind, *flags], ["--spec", str(spec)]):
+        assert run(capsys, "generate", *argv) == (0, expected.getvalue(), "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "kitaev", "--n", "x", "--mu", "1", "--t", "1", "--delta", "1"],
+     "model parameter 'n': invalid literal for int() with base 10: 'x'"),
+    (["--kind", "kitaev", "--n", "4", "--mu", "x", "--t", "1", "--delta", "1"],
+     "model parameter 'mu': could not convert string to float: 'x'"),
+    (["--kind", "random-pure", "--n", "4", "--seed", "1.5"],
+     "model parameter 'seed': invalid literal for int() with base 10: '1.5'"),
+    (["--kind", "diagonal", "--lambdas", "nan,0.5"],
+     "model parameter 'lambdas': expected finite values, got 'nan,0.5'"),
+    (["--spec", "nan_spec.json"], "model parameter 'lambdas': expected finite values, got [nan, 0.5]"),
+    (["--spec", "nan_spec.json", "--kind", "diagonal", "--lambdas", "0.5"],
+     "--spec replaces the model flags; drop --kind, --lambdas"),
+], ids=["n-text", "mu-text", "seed-fraction", "lambdas-nan", "spec-lambdas-nan", "spec-with-flags"])
+def test_cli_model_parameter_errors_are_one_line(capsys, tmp_path, monkeypatch, argv, message):
+    (tmp_path / "nan_spec.json").write_text('{"kind": "diagonal", "parameters": {"lambdas": [NaN, 0.5]}}')
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "generate", *argv) == (1, "", f"error: {message}\n")
 
 
 def test_cli_generate_from_spec_json(capsys, tmp_path):
