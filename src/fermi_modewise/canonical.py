@@ -16,14 +16,20 @@ find one by ``_chiral_block`` work on its N x N off-diagonal blocks alone:
 ``williamson_form`` takes one SVD of the even-odd block, and
 ``pair_spectrum`` takes the singular values of blocks of them;
 ``ground_state_fcm`` knows the coupling of a real Hamiltonian to be chiral.
-Any other M first takes a Hessenberg reduction, whose LAPACK routines are
-loaded from SciPy on first use, so the chiral route runs on numpy alone.
+Any other M first takes a Hessenberg reduction by LAPACK's dgehrd and dorghr,
+which numpy does not expose.  ``_lapack`` takes them, and the dense oracle's
+zheevr, from SciPy's compiled LAPACK module on first use, loaded from its file
+alone: the chiral route runs on numpy alone, and no route imports scipy.linalg.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
@@ -37,17 +43,56 @@ _ANTISYMMETRY_TOL = 1e-12
 _ORTHOGONALITY_TOL = 1e-12
 
 
+def _scipy_linalg_dir() -> str:
+    """SciPy's linalg directory, found without importing SciPy; '' when SciPy is not installed."""
+    scipy = importlib.util.find_spec("scipy")
+    return os.path.join(scipy.submodule_search_locations[0], "linalg") if scipy else ""
+
+
+@lru_cache(maxsize=None)
+def _flapack():
+    """SciPy's compiled LAPACK module ``scipy.linalg._flapack``, or None when its file is absent.
+
+    The f2py extension is loaded from its file in ``_scipy_linalg_dir()`` by
+    importlib's extension loader, which imports numpy alone, not the hundreds
+    of modules of scipy.linalg.  It is then taken out of ``sys.modules``, so
+    a later ``import scipy.linalg`` sets up its package as usual, and gets the
+    same routine objects.  Once scipy.linalg is imported, its module is used.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    linalg_dir = _scipy_linalg_dir()
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(linalg_dir, "_flapack" + suffix)
+        if os.path.isfile(path):
+            loader = ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader))
+            loader.exec_module(module)
+            sys.modules.pop(name, None)
+            return module
+    return None
+
+
 @lru_cache(maxsize=None)
 def _lapack(names: tuple[str, ...], dtype) -> tuple:
-    """SciPy's LAPACK wrappers of ``names`` for ``dtype``, importing SciPy on the first call.
+    """SciPy's LAPACK routines ``names`` for ``dtype`` (float64 or complex128).
 
-    The one place in the package that loads SciPy: the routines are called
-    directly because on the small blocks of the dense oracle the argument
-    checks of scipy.linalg.hessenberg or eigh take longer than the work.
+    The one place in the package that loads SciPy.  Each routine is the
+    attribute d<name> or z<name> of ``_flapack()``, the object that
+    scipy.linalg.get_lapack_funcs returns, which is the fallback when the
+    module's file is absent.  The routines are called directly because on the
+    small blocks of the dense oracle the argument checks of
+    scipy.linalg.hessenberg or eigh take longer than the work.
     """
-    from scipy.linalg import get_lapack_funcs
+    flapack = _flapack()
+    if flapack is None:
+        from scipy.linalg import get_lapack_funcs
 
-    return tuple(get_lapack_funcs(names, dtype=dtype))
+        return tuple(get_lapack_funcs(names, dtype=dtype))
+    prefix = "z" if np.dtype(dtype).kind == "c" else "d"
+    return tuple(getattr(flapack, prefix + name) for name in names)
 
 
 def j_blocks(n_blocks: int) -> np.ndarray:

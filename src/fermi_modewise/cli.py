@@ -61,7 +61,7 @@ def _model_spec_from_args(args) -> tuple[str, dict]:
         with open(args.spec) as stream:
             try:
                 data = json.load(stream)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise InvalidInputError(f"malformed model spec JSON: {exc}") from exc
         if not (isinstance(data, dict) and isinstance(data.get("parameters"), dict)
                 and "kind" in data):

@@ -118,7 +118,8 @@ def generate_model(kind: str, parameters: dict) -> CovarianceMatrix:
     Each kind takes the parameters of its ``_MODELS`` entry, ``seed`` may be left
     out (a fresh random state), and every value, a flag's text or a spec or sweep
     value, goes through its ``_PARAMETERS`` converter.  An unknown kind, a missing
-    or unknown parameter, or a value its converter rejects raises InvalidInputError.
+    or unknown parameter, a boolean (JSON true or false, alone or in a list), or a
+    value its converter rejects raises InvalidInputError.
     """
     if kind not in MODEL_KINDS:  # a tuple, so an unhashable kind from JSON is refused too
         raise InvalidInputError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
@@ -132,8 +133,12 @@ def generate_model(kind: str, parameters: dict) -> CovarianceMatrix:
     for name in names:
         if name not in parameters and name != "seed":
             raise InvalidInputError(f"missing model parameter {name!r}")
+        value = parameters.get(name)
         try:
-            args.append(_PARAMETERS[name][0](parameters.get(name)))
+            if isinstance(value, bool) or (isinstance(value, (list, tuple))
+                                           and any(isinstance(v, bool) for v in value)):
+                raise TypeError(f"expected numbers, not booleans, got {value!r}")
+            args.append(_PARAMETERS[name][0](value))
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"model parameter {name!r}: {exc}") from exc
     return builder(*args)

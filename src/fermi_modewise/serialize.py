@@ -13,6 +13,7 @@ through ``json``'s pure-Python stream encoder.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import TextIO
 
 import numpy as np
@@ -30,7 +31,8 @@ def fcm_from_dict(data: dict) -> CovarianceMatrix:
     if not isinstance(data, dict) or "n_modes" not in data or "matrix" not in data:
         raise InvalidInputError('covariance JSON needs keys "n_modes" and "matrix"')
     n = data["n_modes"]
-    if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
+    if (isinstance(n, bool) or not isinstance(n, (numbers.Integral, float))
+            or (isinstance(n, float) and not n.is_integer())):
         raise InvalidInputError(f"n_modes must be an integer, got {n!r}")
     try:
         matrix = np.asarray(data["matrix"], dtype=float)
@@ -80,7 +82,7 @@ def write_fcm(state: CovarianceMatrix, stream: TextIO):
 def read_fcm(stream: TextIO) -> CovarianceMatrix:
     try:
         data = json.load(stream)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"malformed covariance JSON: {exc}") from exc
     return fcm_from_dict(data)
 
