@@ -15,8 +15,9 @@ block of size 2^(N-1) at a time, each in O(N^2 2^N) time and 4^N * 4 bytes.
 The ground state comes from the two lowest eigenpairs of each block, solved
 as soon as it is built, so one block is alive at a time: O(8^N) time still,
 but the two half-size reductions cost a quarter of a full one and only four
-eigenvectors are formed.  The eigensolver, LAPACK's zheevr, is loaded from
-SciPy on first use.  Everything is capped at MODE_CAP = 12 modes.
+eigenvectors are formed.  The eigensolver, LAPACK's zheevr, is taken from
+SciPy's compiled LAPACK module on first use (``canonical._lapack``), without
+importing scipy.linalg.  Everything is capped at MODE_CAP = 12 modes.
 
 Index tables are cached read-only on first use and kept for the life of the
 process, for every N <= MODE_CAP: per N the occupation table and the Majorana

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, get_lapack_funcs
 
 from fermi_modewise import (
     InvalidInputError,
+    canonical,
     J2,
     QuadraticHamiltonian,
     antisymmetrize,
@@ -264,3 +267,23 @@ def test_principal_blocks_of_a_state_are_returned_by_antisymmetrize_bit_for_bit(
             q = quadrature_indices(rng.permutation(state.n_modes)[: rng.integers(1, state.n_modes)])
             block = state.matrix[q[:, None], q]
             assert _same_bits(antisymmetrize(block), block)
+
+
+def test_lapack_falls_back_to_scipy_linalg_without_the_extension_file(monkeypatch, tmp_path):
+    # a directory without _flapack's file sends _lapack to get_lapack_funcs, the same routines
+    mat = random_antisymmetric(8, np.random.default_rng(3))
+    expected = williamson_form(mat)
+    caches = (canonical._flapack, canonical._lapack, canonical._hessenberg_lwork)
+    monkeypatch.setattr(canonical, "_scipy_linalg_dir", lambda: str(tmp_path))
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        assert canonical._flapack() is None
+        names = ("gehrd", "orghr")
+        assert list(canonical._lapack(names, np.float64)) == get_lapack_funcs(names, dtype=np.float64)
+        form = williamson_form(mat)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert _same_bits(form.orthogonal, expected.orthogonal) and _same_bits(form.lambdas, expected.lambdas)

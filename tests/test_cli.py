@@ -333,6 +333,14 @@ def test_cli_exit_codes(capsys, tmp_path):
          "--param", "mu", "--start", "0", "--stop", "1", "--num", "1000000000000",
          "--cut", "2"],
         ["generate", "--spec", "bcs_spec.json", "--kind", "bcs", "--mu", "3"],
+        ["generate", "--spec", "utf16_spec.json"],
+        ["williamson", "--input", "utf16.json"],
+        ["decompose", "--input", "utf16.json", "--partition", "1;2"],
+        ["entropy", "--input", "utf16.json", "--partition", "1;2"],
+        ["generate", "--spec", "bool_numbers_spec.json"],
+        ["generate", "--spec", "bool_in_list_spec.json"],
+        ["generate", "--spec", "bool_seed_spec.json"],
+        ["williamson", "--input", "n_modes_numeral.json"],
     ],
     ids=["nan-covariance", "nan-parameter", "out-is-directory", "malformed-spec",
          "spec-not-object", "spec-parameters-not-object", "verify-one-mode",
@@ -346,7 +354,9 @@ def test_cli_exit_codes(capsys, tmp_path):
          "sweep-mode-count-too-large", "spec-mode-count-too-large", "ppt-no-kappas",
          "ppt-only-a-comma", "verify-negative-seed", "verify-above-mode-cap",
          "sweep-scan-cut-with-sweep-flags", "sweep-values-and-range", "sweep-scan-cut-one-mode",
-         "sweep-num-too-large", "spec-with-model-flags"],
+         "sweep-num-too-large", "spec-with-model-flags", "spec-not-utf8", "williamson-not-utf8",
+         "decompose-not-utf8", "entropy-not-utf8", "spec-booleans-as-numbers",
+         "spec-boolean-in-list", "spec-boolean-seed", "n-modes-numeral-text"],
 )
 def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, argv):
     data = fcm_to_dict(diagonal_fcm([1.0, 1.0]))
@@ -359,7 +369,8 @@ def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, 
     for name, key, value in [("n_modes_text", "n_modes", "abc"),
                              ("ragged", "matrix", [[0.0, 1.0], [-1.0]]),
                              ("matrix_text", "matrix", "xy"),
-                             ("n_modes_fraction", "n_modes", 2.5)]:
+                             ("n_modes_fraction", "n_modes", 2.5),
+                             ("n_modes_numeral", "n_modes", "2")]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**two_modes, key: value}))
     one_mode = fcm_to_dict(diagonal_fcm([1.0]))
     (tmp_path / "n_modes_bool.json").write_text(json.dumps({**one_mode, "n_modes": True}))
@@ -374,9 +385,14 @@ def test_cli_bad_input_exits_1_without_traceback(capsys, tmp_path, monkeypatch, 
         ("unknown_key", "bcs", {"thetas": [0.3], "n": 2}),
         ("n_huge", "random-pure", {"n": 1e300, "seed": 1}),
         ("bcs", "bcs", {"thetas": [0.3]}),
+        ("bool_numbers", "kitaev", {"n": True, "mu": True, "t": 1, "delta": 1}),
+        ("bool_in_list", "diagonal", {"lambdas": [True, 0.5]}),
+        ("bool_seed", "random-pure", {"n": 3, "seed": False}),
     ]:
         spec = {"kind": kind, "parameters": parameters}
         (tmp_path / f"{name}_spec.json").write_text(json.dumps(spec))
+    for name, text in [("utf16", json.dumps(two_modes)), ("utf16_spec", (tmp_path / "bcs_spec.json").read_text())]:
+        (tmp_path / f"{name}.json").write_bytes(text.encode("utf-16"))  # starts with the BOM ff fe
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == 1
@@ -593,9 +609,16 @@ def test_cli_flags_and_spec_give_the_bytes_of_generate_model(capsys, tmp_path, k
     (["--spec", "nan_spec.json"], "model parameter 'lambdas': expected finite values, got [nan, 0.5]"),
     (["--spec", "nan_spec.json", "--kind", "diagonal", "--lambdas", "0.5"],
      "--spec replaces the model flags; drop --kind, --lambdas"),
-], ids=["n-text", "mu-text", "seed-fraction", "lambdas-nan", "spec-lambdas-nan", "spec-with-flags"])
+    (["--spec", "bool_spec.json"], "model parameter 'n': expected numbers, not booleans, got True"),
+    (["--spec", "utf16_spec.json"],
+     "malformed model spec JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["n-text", "mu-text", "seed-fraction", "lambdas-nan", "spec-lambdas-nan", "spec-with-flags",
+        "spec-booleans", "spec-not-utf8"])
 def test_cli_model_parameter_errors_are_one_line(capsys, tmp_path, monkeypatch, argv, message):
     (tmp_path / "nan_spec.json").write_text('{"kind": "diagonal", "parameters": {"lambdas": [NaN, 0.5]}}')
+    (tmp_path / "bool_spec.json").write_text(
+        '{"kind": "kitaev", "parameters": {"n": true, "mu": true, "t": 1, "delta": 1}}')
+    (tmp_path / "utf16_spec.json").write_bytes(b"\xff\xfe")
     monkeypatch.chdir(tmp_path)
     assert run(capsys, "generate", *argv) == (1, "", f"error: {message}\n")
 
@@ -663,6 +686,16 @@ def test_cli_verify_nan_measurement_fails(capsys, monkeypatch):
     assert lines[-1] == "10/11 suites passed"
 
 
+def run_fresh(script: str, state: Path):
+    """The JSON that ``script`` prints when run in a fresh interpreter with ``state`` as its argument."""
+    package_root = str(Path(fermi_modewise.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-c", script, str(state)], env=dict(os.environ, PYTHONPATH=path),
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr
+    return json.loads(fresh.stdout)
+
+
 def test_chiral_commands_run_without_scipy(tmp_path):
     script = """
 import contextlib, io, json, sys
@@ -689,14 +722,57 @@ ground = dense_ground_state(random_quadratic_hamiltonian(4, np.random.default_rn
 print(json.dumps([entropy, form.lambdas.tolist(), form.orthogonal.tolist(), ground.energy,
                   ground.state.amplitudes.real.tolist(), ground.state.amplitudes.imag.tolist()]))
 """
-    package_root = str(Path(fermi_modewise.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    state = tmp_path / "kitaev.json"
-    fresh = subprocess.run([sys.executable, "-c", script, str(state)], env=dict(os.environ, PYTHONPATH=path),
-                           capture_output=True, text=True, timeout=120)
-    assert fresh.returncode == 0, fresh.stderr
-    entropy, lambdas, orthogonal, energy, real, imag = json.loads(fresh.stdout)
+    entropy, lambdas, orthogonal, energy, real, imag = run_fresh(script, tmp_path / "kitaev.json")
     assert float(entropy) > 0.0
+    form = williamson_form(random_pure_fcm(5, 3).matrix)
+    ground = dense_ground_state(verify.random_quadratic_hamiltonian(4, np.random.default_rng(4)))
+    assert lambdas == form.lambdas.tolist() and orthogonal == form.orthogonal.tolist()
+    assert energy == ground.energy
+    assert real == ground.state.amplitudes.real.tolist() and imag == ground.state.amplitudes.imag.tolist()
+
+
+def test_non_chiral_commands_load_lapack_without_scipy_linalg(tmp_path):
+    # The Hessenberg route and the dense oracle take SciPy's compiled LAPACK
+    # module from its file alone; a later import of scipy.linalg still works
+    # and hands out the same routines, so every result keeps its bits.
+    script = """
+import contextlib, io, json, sys
+import numpy as np
+from fermi_modewise import canonical, dense_ground_state, random_pure_fcm
+from fermi_modewise.cli import cli_main
+from fermi_modewise.verify import random_quadratic_hamiltonian
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli_main(list(argv)) == 0, argv
+    return out.getvalue()
+
+def results():
+    form = canonical._williamson_core(canonical.antisymmetrize(random_pure_fcm(5, 3).matrix))
+    ground = dense_ground_state(random_quadratic_hamiltonian(4, np.random.default_rng(4)))
+    return [form.lambdas.tolist(), form.orthogonal.tolist(), ground.energy,
+            ground.state.amplitudes.real.tolist(), ground.state.amplitudes.imag.tolist()]
+
+state = sys.argv[1]
+run("generate", "--kind", "random-pure", "--n", "6", "--seed", "2", "--out", state)
+run("williamson", "--input", state)
+run("decompose", "--input", state, "--partition", "1,2;3,4,5,6")
+run("verify", "--max-modes", "3", "--trials", "1")
+assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+assert "scipy.linalg._flapack" not in sys.modules
+assert canonical._flapack().__file__.startswith(canonical._scipy_linalg_dir())
+before = results()
+
+import scipy.linalg
+names = ("gehrd", "orghr")
+assert list(canonical._lapack(names, np.float64)) == scipy.linalg.get_lapack_funcs(names, dtype=np.float64)
+for cached in (canonical._flapack, canonical._lapack, canonical._hessenberg_lwork):
+    cached.cache_clear()
+assert canonical._flapack() is scipy.linalg._flapack
+assert results() == before
+print(json.dumps(before))
+"""
+    lambdas, orthogonal, energy, real, imag = run_fresh(script, tmp_path / "random-pure.json")
     form = williamson_form(random_pure_fcm(5, 3).matrix)
     ground = dense_ground_state(verify.random_quadratic_hamiltonian(4, np.random.default_rng(4)))
     assert lambdas == form.lambdas.tolist() and orthogonal == form.orthogonal.tolist()
