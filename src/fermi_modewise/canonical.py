@@ -19,7 +19,8 @@ find one by ``_chiral_block`` work on its N x N off-diagonal blocks alone:
 Any other M first takes a Hessenberg reduction by LAPACK's dgehrd and dorghr,
 which numpy does not expose.  ``_lapack`` takes them, and the dense oracle's
 zheevr, from SciPy's compiled LAPACK module on first use, loaded from its file
-alone: the chiral route runs on numpy alone, and no route imports scipy.linalg.
+in SciPy's linalg directory alone: the chiral route runs on numpy alone, and
+no route imports scipy.linalg while that file is there.
 """
 
 from __future__ import annotations
@@ -51,28 +52,30 @@ def _scipy_linalg_dir() -> str:
 
 @lru_cache(maxsize=None)
 def _flapack():
-    """SciPy's compiled LAPACK module ``scipy.linalg._flapack``, or None when its file is absent.
+    """SciPy's compiled LAPACK module ``scipy.linalg._flapack``.
 
-    The f2py extension is loaded from its file in ``_scipy_linalg_dir()`` by
+    When SciPy is found and scipy.linalg has not imported the module yet, the
+    f2py extension is loaded from its file in ``_scipy_linalg_dir()`` by
     importlib's extension loader, which imports numpy alone, not the hundreds
     of modules of scipy.linalg.  It is then taken out of ``sys.modules``, so
     a later ``import scipy.linalg`` sets up its package as usual, and gets the
-    same routine objects.  Once scipy.linalg is imported, its module is used.
+    same routine objects.  Otherwise the module comes from an import: the one
+    scipy.linalg already holds, a full import where the file is not in that
+    directory, or ModuleNotFoundError when SciPy is not installed.
     """
     name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
     linalg_dir = _scipy_linalg_dir()
-    for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(linalg_dir, "_flapack" + suffix)
-        if os.path.isfile(path):
-            loader = ExtensionFileLoader(name, path)
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_file_location(name, path, loader=loader))
-            loader.exec_module(module)
-            sys.modules.pop(name, None)
-            return module
-    return None
+    if linalg_dir and name not in sys.modules:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(linalg_dir, "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+                sys.modules.pop(name, None)
+                return module
+    return importlib.import_module(name)
 
 
 @lru_cache(maxsize=None)
@@ -81,16 +84,11 @@ def _lapack(names: tuple[str, ...], dtype) -> tuple:
 
     The one place in the package that loads SciPy.  Each routine is the
     attribute d<name> or z<name> of ``_flapack()``, the object that
-    scipy.linalg.get_lapack_funcs returns, which is the fallback when the
-    module's file is absent.  The routines are called directly because on the
-    small blocks of the dense oracle the argument checks of
+    scipy.linalg's own LAPACK lookup returns.  The routines are called directly
+    because on the small blocks of the dense oracle the argument checks of
     scipy.linalg.hessenberg or eigh take longer than the work.
     """
     flapack = _flapack()
-    if flapack is None:
-        from scipy.linalg import get_lapack_funcs
-
-        return tuple(get_lapack_funcs(names, dtype=dtype))
     prefix = "z" if np.dtype(dtype).kind == "c" else "d"
     return tuple(getattr(flapack, prefix + name) for name in names)
 

@@ -30,6 +30,7 @@ from .gaussian import Bipartition, CovarianceMatrix
 from .models import MODEL_KINDS, MODEL_PARAMETERS, generate_model
 from .verify import run_all
 
+# Largest reconstruction residual of decompose, relative to lambda0.
 RECONSTRUCTION_TOL = 1e-8
 # Most points a --start/--stop/--num sweep may ask for; each one is a model
 # build and a decomposition.
@@ -146,10 +147,11 @@ def _cmd_decompose(args) -> int:
     partition = serialize.parse_partition(args.partition, state.n_modes)
     decomp = modewise_decompose(state, partition)
     residual = reconstruction_residual(decomp, state)
-    if residual > RECONSTRUCTION_TOL:
+    bound = RECONSTRUCTION_TOL * decomp.lambda0
+    if residual > bound:
         raise NumericalConsistencyError(
             f"decomposition failed its reconstruction self-check: residual "
-            f"{residual:.3e} > {RECONSTRUCTION_TOL:.3e}"
+            f"{residual:.3e} > {bound:.3e} = {RECONSTRUCTION_TOL:g} lambda0"
         )
     _write(args.out, lambda s: serialize.write_decomposition(decomp, residual, s))
     return 0

@@ -49,7 +49,7 @@ from .gaussian import (
 _ZERO_LAMBDA_TOL = 1e-8
 # Largest part of a rotated 2x2 cross block that may commute with J2.
 _COMMUTING_TOL = 1e-7
-# Smallest kappa treated as a genuine pair.
+# Smallest kappa, relative to lambda0, treated as a genuine pair.
 _PAIR_TOL = 1e-8
 
 
@@ -148,10 +148,13 @@ def _svdvals(mat: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False)
 
 
-def _pairs(lams, kappas) -> list[EntangledPair]:
-    """The pairs of couplings beyond 1e-8 by descending angle, ``mode`` their place in ``kappas``."""
+def _pairs(lams, kappas, lambda0: float) -> list[EntangledPair]:
+    """The pairs of couplings beyond 1e-8 lambda0 by descending angle.
+
+    ``mode`` is a pair's place in ``kappas``.
+    """
     pairs = [EntangledPair(float(lam), float(kappa), float(0.5 * np.arctan2(kappa, lam)), k)
-             for k, (lam, kappa) in enumerate(zip(lams, kappas)) if kappa > _PAIR_TOL]
+             for k, (lam, kappa) in enumerate(zip(lams, kappas)) if kappa > _PAIR_TOL * lambda0]
     pairs.sort(key=lambda p: (-p.theta, p.mode))
     return pairs
 
@@ -169,7 +172,7 @@ def pair_spectrum(state: CovarianceMatrix, partition: Bipartition) -> PairSpectr
     would cancel for kappa near lambda0 and blur angles near pi/4.
 
     The tolerances and errors are those of ``modewise_decompose``.  Couplings up
-    to 1e-8 are dropped, a state that is not isotropic raises
+    to 1e-8 lambda0 are dropped, a state that is not isotropic raises
     NotIsotropicError, and half the largest gap between the two copies of a
     kappa, the part of a pair's cross block that commutes with J2, raises
     NumericalConsistencyError beyond 1e-7.
@@ -189,7 +192,7 @@ def pair_spectrum(state: CovarianceMatrix, partition: Bipartition) -> PairSpectr
         copies = _svdvals(m[rows_a[1::2, None], rows_b[0::2]])
         lams = _svdvals(m[rows_small[0::2, None], rows_small[1::2]])
     _check_commuting_part(0.5 * float(np.max(np.abs(kappas - copies), initial=0.0)))
-    return PairSpectrum(float(lambda0), _pairs(lams[::-1], kappas))
+    return PairSpectrum(float(lambda0), _pairs(lams[::-1], kappas, lambda0))
 
 
 def _complex_to_real(x: np.ndarray) -> np.ndarray:
@@ -217,7 +220,7 @@ def modewise_decompose(state: CovarianceMatrix, partition: Bipartition) -> Modew
     ``pair_spectrum``; distinct pairs inside the zero class keep their own.
 
     Local eigenvalues up to 1e-8 lambda0 count as zero, and couplings kappa up
-    to 1e-8 are dropped.  Raises NotIsotropicError when max|M^2 + lambda0^2|
+    to 1e-8 lambda0 are dropped.  Raises NotIsotropicError when max|M^2 + lambda0^2|
     exceeds 1e-8, and NumericalConsistencyError when a block of K' keeps a
     part commuting with J2 beyond 1e-7, which signals inconsistent input
     rather than a representation choice.
@@ -257,7 +260,7 @@ def modewise_decompose(state: CovarianceMatrix, partition: Bipartition) -> Modew
     # k-th smallest local eigenvalue, the kappa coming in descending order; the
     # pairs take the smaller side's, as pair_spectrum does.
     lams_a, lams_b = form_a.lambdas[::-1], form_b.lambdas[::-1]
-    pairs = _pairs(lams_a if n_a <= n_b else lams_b, kappas)
+    pairs = _pairs(lams_a if n_a <= n_b else lams_b, kappas, lambda0)
     return ModewiseDecomposition(
         lambda0=float(lambda0),
         pairs=pairs,

@@ -297,7 +297,9 @@ def reconstruct_state(decomp: ModewiseDecomposition, reference: FockState):
     - sin(theta) b_a^dag, and d_k = b_k for the unpaired modes.  The rank-one
     projector prod_k d_k d_k^dag onto that vacuum, applied once to the
     reference, gives the rebuilt state and the fidelity |<reference|rebuilt>|
-    (global phase is not observable).  Returns ``(state, fidelity)``.
+    (global phase is not observable).  Returns ``(state, fidelity)``, with
+    state None when the fidelity is at most 1e-6: the reference then holds
+    too little of the predicted state to normalize it from.
     """
     if not decomp.pure:
         raise InvalidInputError(
@@ -324,26 +326,8 @@ def reconstruct_state(decomp: ModewiseDecomposition, reference: FockState):
         annihilators[a] = cos * lower[a] + sin * lower[b].conj()
         annihilators[b] = cos * lower[b] - sin * lower[a].conj()
     perm, phase = _majorana_action(n)
-
-    def project(vec):
-        for d in annihilators:
-            vec = d @ (phase * (d.conj() @ (phase * vec[perm]))[perm])
-        return vec
-
-    projected = project(reference.amplitudes)
-    fidelity = float(np.linalg.norm(projected))
-    if fidelity > 1e-6:
-        return FockState(n, projected / fidelity), fidelity
-    # Reference has (almost) no weight on the predicted state; project seeded
-    # probes instead so the return value stays valid.
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        probe = rng.standard_normal(2**n) + 1.0j * rng.standard_normal(2**n)
-        candidate = project(probe / np.linalg.norm(probe))
-        weight = np.linalg.norm(candidate)
-        if weight > 1e-3:
-            return FockState(n, candidate / weight), fidelity
-    raise NumericalConsistencyError(
-        "could not isolate the vacuum of the decomposition's modes; the decomposition "
-        "transforms are inconsistent"
-    )
+    vec = reference.amplitudes
+    for d in annihilators:
+        vec = d @ (phase * (d.conj() @ (phase * vec[perm]))[perm])
+    fidelity = float(np.linalg.norm(vec))
+    return (FockState(n, vec / fidelity) if fidelity > 1e-6 else None), fidelity

@@ -1,4 +1,5 @@
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 import pytest
@@ -269,21 +270,51 @@ def test_principal_blocks_of_a_state_are_returned_by_antisymmetrize_bit_for_bit(
             assert _same_bits(antisymmetrize(block), block)
 
 
-def test_lapack_falls_back_to_scipy_linalg_without_the_extension_file(monkeypatch, tmp_path):
-    # a directory without _flapack's file sends _lapack to get_lapack_funcs, the same routines
+def _clear_lapack_caches():
+    for cached in (canonical._flapack, canonical._lapack, canonical._hessenberg_lwork):
+        cached.cache_clear()
+
+
+def test_lapack_imports_the_module_when_the_lookup_directory_lacks_its_file(monkeypatch, tmp_path):
+    # a directory without _flapack's file leaves the import of scipy.linalg._flapack,
+    # which hands out the routines of get_lapack_funcs
     mat = random_antisymmetric(8, np.random.default_rng(3))
     expected = williamson_form(mat)
-    caches = (canonical._flapack, canonical._lapack, canonical._hessenberg_lwork)
     monkeypatch.setattr(canonical, "_scipy_linalg_dir", lambda: str(tmp_path))
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-    for cached in caches:
-        cached.cache_clear()
+    _clear_lapack_caches()
     try:
-        assert canonical._flapack() is None
         names = ("gehrd", "orghr")
         assert list(canonical._lapack(names, np.float64)) == get_lapack_funcs(names, dtype=np.float64)
         form = williamson_form(mat)
     finally:
-        for cached in caches:
-            cached.cache_clear()
+        _clear_lapack_caches()
     assert _same_bits(form.orthogonal, expected.orthogonal) and _same_bits(form.lambdas, expected.lambdas)
+
+
+def test_lapack_without_scipy_raises_and_loads_nothing_from_the_working_directory(
+    monkeypatch, tmp_path
+):
+    # With SciPy not installed, a file named like its LAPACK module in the working
+    # directory must not be loaded; the import of scipy fails instead.
+    finders = list(sys.meta_path)
+
+    class NoScipy:
+        @staticmethod
+        def find_spec(name, path=None, target=None):
+            if name.partition(".")[0] == "scipy":
+                return None
+            return next(filter(None, (f.find_spec(name, path, target) for f in finders)), None)
+
+    for name in [m for m in sys.modules if m.partition(".")[0] == "scipy"]:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(sys, "meta_path", [NoScipy])
+    (tmp_path / ("_flapack" + EXTENSION_SUFFIXES[0])).write_bytes(b"not a shared object")
+    monkeypatch.chdir(tmp_path)
+    _clear_lapack_caches()
+    try:
+        with pytest.raises(ModuleNotFoundError) as info:
+            canonical._flapack()
+    finally:
+        _clear_lapack_caches()
+    assert info.value.name == "scipy"

@@ -13,11 +13,15 @@ import pytest
 
 import fermi_modewise
 from fermi_modewise import (
+    CovarianceMatrix,
     cli,
     decompose,
     dense_ground_state,
     diagonal_fcm,
+    haar_orthogonal,
     isotropic_fcm,
+    isotropy_parameter,
+    lambda_blocks,
     modewise_decompose,
     random_pure_fcm,
     reconstruction_residual,
@@ -485,6 +489,27 @@ def test_cli_entropy_of_inconsistent_cross_block_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "commuting with J2" in err
+
+
+@pytest.mark.parametrize("scale, code", [(1e-7, 2), (1e-9, 2), (0.0, 0)])
+def test_cli_decompose_gates_the_residual_relative_to_lambda0(capsys, tmp_path, scale, code):
+    # O diag(s [1, 1, 1, .2, .2, .2] J2) O^T is not isotropic, yet for small s it
+    # passes the absolute isotropy and commuting-part checks; the reconstruction
+    # gate at 1e-8 lambda0 refuses it at every such s.  M = 0 has lambda0 = 0 and
+    # residual 0.
+    rotation = haar_orthogonal(12, seed=5)
+    matrix = rotation @ lambda_blocks(scale * np.array([1, 1, 1, 0.2, 0.2, 0.2])) @ rotation.T
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(fcm_to_dict(CovarianceMatrix(matrix))))
+    got, out, err = run(capsys, "decompose", "--input", str(path), "--partition", "1,2,3;4,5,6")
+    assert got == code
+    if code:
+        assert out == ""
+        bound = 1e-8 * isotropy_parameter(CovarianceMatrix(matrix))
+        assert re.fullmatch(r"error: decomposition failed its reconstruction self-check: "
+                            rf"residual \S+ > {re.escape(f'{bound:.3e}')} = 1e-08 lambda0\n", err)
+    else:
+        assert json.loads(out)["pairs"] == []
 
 
 def test_cli_sweep_cut_scan(capsys):

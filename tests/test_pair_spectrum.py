@@ -6,12 +6,14 @@ angles come out of the full decomposition, of ``pair_spectrum`` and of the
 construction, and both routes put pair k on transformed mode k of each side.
 Each pure state is also the ground state of a Hamiltonian built from it,
 found again by ``ground_state_fcm``, and at N <= 8 its entropy is checked
-against the dense Schmidt entropy.
+against the dense Schmidt entropy.  Every pair threshold is relative to
+lambda0, so the same states, and random isotropic ones, keep their pairs
+when scaled down to 1e-12.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -24,6 +26,7 @@ from fermi_modewise import (
     ground_state_fcm,
     haar_orthogonal,
     hamiltonian_to_majorana,
+    isotropic_fcm,
     isotropic_separability,
     modewise_decompose,
     pair_block,
@@ -106,3 +109,39 @@ def test_pair_spectrum_matches_the_decomposition(case):
             assert isotropic_separability(spectrum).total_modes_entropy == pytest.approx(
                 schmidt_entropy(dense, partition), abs=1e-10
             )
+
+
+@st.composite
+def random_isotropic_states(draw):
+    """(state, partition) of a random isotropic state cut into two runs of modes."""
+    n = draw(st.integers(2, 8))
+    cut = draw(st.integers(1, n - 1))
+    state = isotropic_fcm(n, draw(st.sampled_from([1e-3, 0.5, 1.0])), draw(st.integers(0, 2**16)))
+    return state, Bipartition(tuple(range(cut)), tuple(range(cut, n)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.one_of(structured_states().map(lambda case: case[:2]), random_isotropic_states()))
+# kappa = 0.980, 0.805 and 0.677: an absolute pair threshold of 1e-8 dropped all
+# three once the state was scaled to lambda0 = 1e-8
+@example((isotropic_fcm(8, 1.0, 3), Bipartition((0, 1, 2), (3, 4, 5, 6, 7))))
+def test_pairs_are_the_same_for_the_state_scaled_down(case):
+    state, partition = case
+    angles = None
+    for scale in 10.0 ** -np.arange(13):
+        scaled = CovarianceMatrix(scale * state.matrix)
+        decomp = modewise_decompose(scaled, partition)
+        lambda0 = decomp.lambda0
+        thetas = np.array([p.theta for p in decomp.pairs])
+        values = np.array([p.theta for p in pair_spectrum(scaled, partition).pairs])
+        if angles is None:
+            angles = thetas
+        assert len(thetas) == len(values) == len(angles)
+        assert np.max(np.abs(thetas - angles), initial=0.0) <= 1e-12
+        assert np.max(np.abs(values - angles), initial=0.0) <= 1e-12
+        # A pair whose local lambda lies within the zero width (1e-8 lambda0, as at
+        # theta = pi/4 - 1e-9) may come out as -lambda J2, which misses by 2 lambda.
+        zero_width = max((p.lam for p in decomp.pairs if p.lam <= 1e-8 * lambda0), default=0.0)
+        assert reconstruction_residual(decomp, scaled) <= 1e-12 * lambda0 + 2 * zero_width
+        residual_lams = np.array([r.lam for r in decomp.residual_a + decomp.residual_b])
+        assert np.max(np.abs(residual_lams - lambda0), initial=0.0) <= 1e-12 * lambda0
