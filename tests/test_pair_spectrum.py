@@ -120,7 +120,7 @@ def random_isotropic_states(draw):
     return state, Bipartition(tuple(range(cut)), tuple(range(cut, n)))
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.one_of(structured_states().map(lambda case: case[:2]), random_isotropic_states()))
 # kappa = 0.980, 0.805 and 0.677: an absolute pair threshold of 1e-8 dropped all
 # three once the state was scaled to lambda0 = 1e-8
