@@ -10,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fermi_modewise
 from fermi_modewise import (
@@ -31,11 +34,13 @@ from fermi_modewise import (
 from fermi_modewise.cli import cli_main
 from fermi_modewise.models import generate_model
 from fermi_modewise.serialize import (
+    _write_json,
     decomposition_to_dict,
     fcm_from_dict,
     fcm_to_dict,
     parse_partition,
     write_fcm,
+    write_transform,
 )
 from test_decompose import commuting_cross_block_state
 
@@ -165,6 +170,46 @@ def test_write_fcm_holds_about_one_row_in_memory():
     row_size = sink.size / state.matrix.shape[0]
     # about 7 rows' worth here; the whole text (and its list form) is 400 rows
     assert peak < 16 * row_size
+
+
+# The bounds of the orjson route, their neighbours, and the ends of the float range
+_EDGE_FLOATS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308] + [
+    float(np.nextafter(bound, toward)) for bound in (1e-9, 1e-4, 1e16) for toward in (0.0, bound, np.inf)
+]
+_ROW_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS]),
+    # log-uniform magnitudes, so that every notation of both writers is drawn often
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-330, 307)),
+)
+
+
+def written_matrix(matrix: np.ndarray) -> tuple[str, str]:
+    """The text of a write_fcm-style object holding ``matrix`` and of write_transform."""
+    fcm_text, transform_text = io.StringIO(), io.StringIO()
+    _write_json({"n_modes": 7, "matrix": matrix}, fcm_text, indent=1)
+    write_transform(matrix, transform_text)
+    return fcm_text.getvalue(), transform_text.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 12)), elements=_ROW_FLOATS))
+@example(np.array([_EDGE_FLOATS + [-x for x in _EDGE_FLOATS]]))
+def test_matrix_rows_are_the_bytes_of_json_dumps(matrix):
+    fcm_text, transform_text = written_matrix(matrix)
+    expected = json.dumps({"n_modes": 7, "matrix": matrix.tolist()}, indent=1)
+    assert first_difference(fcm_text, expected) is None
+    expected = json.dumps({"orthogonal": matrix.tolist()}) + "\n"
+    assert first_difference(transform_text, expected) is None
+
+
+def test_matrix_rows_keep_the_float_repr_text_of_nan_and_inf():
+    matrix = np.array([[np.nan, 1.0, -np.inf], [6.42e-5, np.inf, -0.0], [1e16, -np.nan, 4.05e-6]])
+    fcm_text, transform_text = written_matrix(matrix)
+    # json writes NaN and Infinity; the matrix writers keep float.__repr__'s nan and inf
+    expected = json.dumps({"n_modes": 7, "matrix": matrix.tolist()}, indent=1)
+    assert fcm_text == expected.replace("NaN", "nan").replace("Infinity", "inf")
+    assert "[nan, 1.0, -inf], [6.42e-05, inf, -0.0], [1e+16, nan, 4.05e-06]" in transform_text
 
 
 @pytest.mark.parametrize(
@@ -727,6 +772,8 @@ import contextlib, io, json, sys
 import numpy as np
 from fermi_modewise import dense_ground_state, random_pure_fcm, williamson_form
 from fermi_modewise.cli import cli_main
+from fermi_modewise.models import generate_model
+from fermi_modewise.serialize import fcm_to_dict
 from fermi_modewise.verify import random_quadratic_hamiltonian
 
 def run(*argv):
@@ -735,12 +782,19 @@ def run(*argv):
     return out.getvalue()
 
 state = sys.argv[1]
-run("generate", "--kind", "kitaev", "--n", "12", "--mu", "0.5", "--t", "1", "--delta", "1", "--out", state)
+kitaev = ("--kind", "kitaev", "--n", "12", "--mu", "0.5", "--t", "1", "--delta", "1")
+with open(state, "w") as stream:
+    json.dump(fcm_to_dict(generate_model("kitaev", {"n": 12, "mu": 0.5, "t": 1, "delta": 1})), stream)
 run("sweep", "--kind", "kitaev", "--n", "16", "--mu", "0.5", "--t", "1", "--delta", "1",
     "--param", "mu", "--values", "0.5", "--cut", "8")
+run("sweep", *kitaev, "--scan-cut")
+run("ppt", "--lambda0", "0.5", "--kappas", "0.3,0.1")
 entropy = run("entropy", "--input", state, "--partition", "1,2,3,4,5,6;7,8,9,10,11,12")
+assert "orjson" not in sys.modules  # only the commands that write a matrix load it
+run("generate", *kitaev, "--out", state)
 run("williamson", "--input", state)
 run("decompose", "--input", state, "--partition", "1,2,3,4,5,6;7,8,9,10,11,12")
+assert "orjson" in sys.modules
 assert "scipy" not in sys.modules, [m for m in sys.modules if m.startswith("scipy")][:5]
 form = williamson_form(random_pure_fcm(5, 3).matrix)
 ground = dense_ground_state(random_quadratic_hamiltonian(4, np.random.default_rng(4)))
@@ -779,10 +833,11 @@ def results():
             ground.state.amplitudes.real.tolist(), ground.state.amplitudes.imag.tolist()]
 
 state = sys.argv[1]
+run("verify", "--max-modes", "3", "--trials", "1")
+assert "orjson" not in sys.modules
 run("generate", "--kind", "random-pure", "--n", "6", "--seed", "2", "--out", state)
 run("williamson", "--input", state)
 run("decompose", "--input", state, "--partition", "1,2;3,4,5,6")
-run("verify", "--max-modes", "3", "--trials", "1")
 assert "scipy.linalg" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 assert "scipy.linalg._flapack" not in sys.modules
 assert canonical._flapack().__file__.startswith(canonical._scipy_linalg_dir())
